@@ -1179,7 +1179,7 @@ telemetry_bench_result run_telemetry_bench(bool quick) {
 }
 
 // --------------------------------------------------------------------------
-// Section 4c: packet-path microbenchmark (hot-header layout + pool order).
+// Section 4c: packet-path microbenchmark (hot-header layout + slab pool).
 // --------------------------------------------------------------------------
 //
 // Replays the per-event packet path in isolation — alloc, enqueue at a WRR
@@ -1192,9 +1192,9 @@ telemetry_bench_result run_telemetry_bench(bool quick) {
 //           its LIFO pointer free list, which after churn hands out
 //           packets in near-random address order.
 //   new:    the hot/cold split `packet` (per-hop fields in the first line,
-//           64-byte aligned) and the address-ordered `packet_pool`.
+//           64-byte aligned) and the slab-backed LIFO index `packet_pool`.
 // The driver is one template instantiated for both models, so the reported
-// ratio isolates struct layout + allocation order from everything else.
+// ratio isolates struct layout + pool from everything else.
 
 namespace packet_path {
 
@@ -1366,10 +1366,10 @@ packet_path_result run_packet_path(bool quick) {
   r.ops = quick ? 4'000'000 : 20'000'000;
   // Warm pass, then measure against the SAME pool: the warm pass faults the
   // slab pages in and — the point of the comparison — ages the free list
-  // into the state each policy sustains (shuffled for the legacy LIFO,
-  // address-clustered for the ordered pool).  Interleaved best-of rounds:
-  // each side is a single ~0.7s timing, so one external load blip lands on
-  // one side only and fabricates a 20-30% "speedup" swing either way.
+  // into the state each pool sustains under churn.  Interleaved best-of
+  // rounds: each side is a single ~0.7s timing, so one external load blip
+  // lands on one side only and fabricates a 20-30% "speedup" swing either
+  // way.
   r.legacy_sec = 1e9;
   r.new_sec = 1e9;
   for (int round = 0; round < (quick ? 2 : 3); ++round) {

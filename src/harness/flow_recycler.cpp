@@ -82,23 +82,19 @@ void flow_recycler::rearm() {
 void flow_recycler::do_next_event() {
   const simtime_t now = env_.now();
 
-  bool retired_any = false;
+  // Teardown leaves the packet pool's LIFO free list as released: there is no
+  // reordering pass (see packet_pool for why).
   while (!retire_queue_.empty() && retire_queue_.front().due <= now) {
     flow* f = retire_queue_.front().f;
     retire_queue_.pop_front();
     flows_.destroy(*f);  // frees the id this slot's replacement will reuse
     ++recycled_;
-    retired_any = true;
     if (cfg_.open_rate_per_sec <= 0) {
       // Closed loop: every teardown seeds its replacement.
       const auto [src, dst] = pick_pair_(env_);
       launch(src, dst, now + cfg_.think_gap);
     }
   }
-  // Teardown windows are the pool's idle time: a completed flow just drained
-  // its in-flight packets into the free list in completion order, so restore
-  // address order before the replacement flow starts allocating.
-  if (retired_any) env_.pool.compact();
 
   if (next_arrival_ >= 0 && next_arrival_ <= now) {
     if (!stopped_ && started_ < cfg_.max_starts) {

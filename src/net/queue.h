@@ -14,12 +14,14 @@
 // event list's (queue_service, delta) lanes and batch-dispatch through
 // `dispatch_run` without a virtual call per event.  A queue's traffic
 // alternates between very few sizes (full data MTU and header/control), so
-// a 2-entry delta->lane cache in front of `lane_for` keeps lane resolution
-// at two compares; unseen sizes miss into `lane_for`, and if the lane table
-// is ever full the completion falls back to a plain heap timer (same
-// ordering, just slower).  Completion logic itself is the non-virtual
-// `service_complete` — identical from the flat batch handler, the per-entry
-// lane path, and the heap fallback.
+// a 2-entry wire-size -> (serialization time, lane) cache keeps service
+// start at two compares.  The rate never changes after construction, so the
+// time is a pure function of size: only an unseen size pays the 128-bit
+// divide and the `lane_for` scan.  If the lane table is ever full the
+// completion falls back to a plain heap timer (same ordering, just slower).
+// Completion logic itself is the non-virtual `service_complete` — identical
+// from the flat batch handler, the per-entry lane path, and the heap
+// fallback.
 #pragma once
 
 #include <cstdint>
@@ -156,29 +158,26 @@ class queue_base : public packet_sink, public event_source {
     packet* p = dequeue_next_dispatch();
     if (p == nullptr) return;
     serving_ = p;
-    const simtime_t st = serialization_time(p->size_bytes, rate_);
+    const std::uint32_t size = p->size_bytes;
+    if (size != svc_[0].size) {
+      if (size == svc_[1].size) {
+        // Swap to front so two alternating sizes both stay one compare away.
+        std::swap(svc_[0], svc_[1]);
+      } else {
+        const simtime_t st = serialization_time(size, rate_);
+        svc_[1] = svc_[0];
+        svc_[0] = {size, events().lane_for(dispatch_class::queue_service, st),
+                   st};
+      }
+    }
     // The service event is deliberately not kept as a handle: once a packet
     // starts serializing it always completes (even under PFC pause) — which
     // is also what makes the non-cancellable lane legal here.
-    std::uint32_t li;
-    if (st == lane_delta_[0]) {
-      li = lane_id_[0];
-    } else if (st == lane_delta_[1]) {
-      // Swap to front so two alternating sizes both stay one compare away.
-      std::swap(lane_delta_[0], lane_delta_[1]);
-      std::swap(lane_id_[0], lane_id_[1]);
-      li = lane_id_[0];
+    const service_entry& e = svc_[0];
+    if (e.lane != event_list::kNoLane) {
+      events().schedule_lane(e.lane, *this, events().now() + e.st);
     } else {
-      li = events().lane_for(dispatch_class::queue_service, st);
-      lane_delta_[1] = lane_delta_[0];
-      lane_id_[1] = lane_id_[0];
-      lane_delta_[0] = st;
-      lane_id_[0] = li;
-    }
-    if (li != event_list::kNoLane) {
-      events().schedule_lane(li, *this, events().now() + st);
-    } else {
-      (void)events().schedule_in(*this, st);
+      (void)events().schedule_in(*this, e.st);
     }
   }
 
@@ -236,9 +235,11 @@ class queue_base : public packet_sink, public event_source {
   linkspeed_bps rate_;
   packet* serving_ = nullptr;
   bool paused_ = false;
-  // delta -> lane cache, most-recent first (-1 never matches a valid delta).
-  simtime_t lane_delta_[2] = {-1, -1};
-  std::uint32_t lane_id_[2] = {event_list::kNoLane, event_list::kNoLane};
+  // Wire size -> service timing, most-recent first (no packet is 4 GiB).
+  struct service_entry {
+    std::uint32_t size = UINT32_MAX, lane = event_list::kNoLane;
+    simtime_t st = 0;
+  } svc_[2];
   queue_stats stats_;
   dequeue_kind dequeue_kind_;
   std::function<void(packet&)> on_depart_;

@@ -42,6 +42,7 @@ class fct_recorder {
     simtime_t end;
     std::uint64_t bytes;
     std::uint32_t epoch = 0;  ///< churn generation the flow belonged to
+    bool operator==(const record&) const = default;
   };
 
   /// Fold another recorder's completed flows into this one (flow ids are

@@ -57,7 +57,7 @@ fabric_instance::fabric_instance(sim_env& env,
   // service per distinct (rate, common packet size) — and pre-size their
   // rings so the first traffic burst doesn't pay doubling-growth copies.
   // 9000/64 are the dominant wire sizes (full data MTU, header/control);
-  // uncommon sizes open their lanes lazily via the queues' delta caches.
+  // uncommon sizes open their lanes lazily via the queues' size caches.
   std::vector<simtime_t> deltas;
   for (const auto& l : links) {
     for (const std::uint32_t size : {9000u, kHeaderBytes}) {

@@ -144,8 +144,8 @@ INSTANTIATE_TEST_SUITE_P(all_transports, flat_dispatch_identity,
                          });
 
 // ---------------------------------------------------------------------------
-// Layout-vs-seed identity: the packet hot/cold split, the allocation-order
-// pool and the devirtualized dequeue tier are memory-layout changes, never
+// Layout-vs-seed identity: the packet hot/cold split, the slab packet pool
+// and the devirtualized dequeue tier are memory-layout changes, never
 // semantics changes.  These goldens pin the bitwise FCT record stream (and
 // total event count) of the seeded k=4 permutation for every transport, as
 // produced by the tree *before* those changes; any later divergence means a

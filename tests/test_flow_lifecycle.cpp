@@ -3,7 +3,10 @@
 // closed-loop flow_recycler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "harness/experiments.h"
 #include "harness/flow_recycler.h"
@@ -313,29 +316,62 @@ TEST(flow_lifecycle, recycler_open_loop_poisson_arrivals_recycle_ids) {
   EXPECT_LT(max_id, 30u);
 }
 
+// Closed-loop churn on k=4: four slots cycling hosts 0-3 -> 8-11 until
+// `max_starts` flows have started.  `shuffle_pool` first releases 4096
+// packets into the pool's free list in seeded random order.
+struct churn_result {
+  std::uint64_t started, recycled, events;
+  std::vector<fct_recorder::record> fcts;
+};
+
+churn_result churn_k4(protocol proto, std::uint64_t max_starts,
+                      std::uint64_t bytes, bool shuffle_pool = false) {
+  fabric_params fp;
+  fp.proto = proto;
+  auto bed = make_fat_tree_testbed(11, 4, fp);
+  if (shuffle_pool) {
+    std::vector<packet*> ps(4096);
+    for (packet*& p : ps) p = bed->env.pool.alloc();
+    std::shuffle(ps.begin(), ps.end(), std::mt19937(7));
+    for (packet* p : ps) bed->env.pool.release(p);
+  }
+  std::uint64_t cursor = 0;
+  auto pick = [&cursor](sim_env&) {
+    const std::uint32_t src = static_cast<std::uint32_t>(cursor++ % 4);
+    return std::make_pair(src, static_cast<std::uint32_t>(src + 8));
+  };
+  recycler_config rc;
+  rc.proto = proto;
+  rc.opts.bytes = bytes;
+  rc.opts.subflows = 2;
+  rc.linger = from_us(200);
+  rc.max_starts = max_starts;
+  flow_recycler rec(bed->env, *bed->topo, *bed->flows, rc, pick);
+  rec.start(4);
+  bed->env.events.run_until(from_ms(400));
+  return {rec.flows_started(), rec.flows_recycled(),
+          bed->env.events.events_processed(), rec.fcts().records()};
+}
+
 TEST(flow_lifecycle, recycler_works_for_every_transport) {
   for (protocol proto : {protocol::ndp, protocol::tcp, protocol::dctcp,
                          protocol::mptcp, protocol::dcqcn, protocol::phost}) {
-    fabric_params fp;
-    fp.proto = proto;
-    auto bed = make_fat_tree_testbed(11, 4, fp);
-    std::uint64_t cursor = 0;
-    auto pick = [&cursor](sim_env&) {
-      const std::uint32_t src = static_cast<std::uint32_t>(cursor++ % 4);
-      return std::make_pair(src, static_cast<std::uint32_t>(src + 8));
-    };
-    recycler_config rc;
-    rc.proto = proto;
-    rc.opts.bytes = 3 * 8936;
-    rc.opts.subflows = 2;
-    rc.linger = from_us(200);
-    rc.max_starts = 12;
-    flow_recycler rec(bed->env, *bed->topo, *bed->flows, rc, pick);
-    rec.start(4);
-    bed->env.events.run_until(from_ms(400));
-    EXPECT_EQ(rec.flows_started(), 12u) << to_string(proto);
-    EXPECT_GE(rec.flows_recycled(), 8u) << to_string(proto);
-    EXPECT_EQ(rec.fcts().completed(), 12u) << to_string(proto);
+    const churn_result r = churn_k4(proto, 12, 3 * 8936);
+    EXPECT_EQ(r.started, 12u) << to_string(proto);
+    EXPECT_GE(r.recycled, 8u) << to_string(proto);
+    EXPECT_EQ(r.fcts.size(), 12u) << to_string(proto);
+  }
+}
+
+TEST(flow_lifecycle, results_do_not_depend_on_pool_free_list_order) {
+  // Nothing may key on packet addresses: the same churn (five generations)
+  // on a fresh pool and on a shuffled one must match record for record.
+  for (protocol proto : {protocol::ndp, protocol::dctcp}) {
+    const churn_result fresh = churn_k4(proto, 20, 20 * 8936);
+    const churn_result shuffled = churn_k4(proto, 20, 20 * 8936, true);
+    EXPECT_EQ(fresh.fcts.size(), 20u) << to_string(proto);
+    EXPECT_EQ(fresh.fcts, shuffled.fcts) << to_string(proto);
+    EXPECT_EQ(fresh.events, shuffled.events) << to_string(proto);
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "net/packet.h"
 #include "net/route.h"
 #include "net/sim_env.h"
@@ -64,59 +66,68 @@ TEST(packet_pool, released_packet_can_be_reallocated_cleanly) {
   pool.release(b);
 }
 
-TEST(packet_pool, compaction_prefers_lowest_addresses) {
-  // Release in a scrambled order across two slabs, compact, then check the
-  // pool hands back ascending pool slots: the compaction sort means the
-  // next allocation burst walks the slabs front to back.
+TEST(packet_pool, lifo_reuses_last_released_slot) {
+  // The free list is a plain stack: the last slot released is the next one
+  // handed out, whatever order the releases before it came in.
   packet_pool pool;
   std::vector<packet*> ps;
-  for (int i = 0; i < 2000; ++i) ps.push_back(pool.alloc());
-  for (std::size_t i = 0; i < ps.size(); i += 2) pool.release(ps[i]);
-  for (std::size_t i = 1; i < ps.size(); i += 2) pool.release(ps[i]);
-  pool.compact();
-  // The free list is now fully sorted, so allocation replays the original
-  // ascending slot order regardless of the scrambled release order.
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(pool.alloc(), ps[i]);
+  for (int i = 0; i < 8; ++i) ps.push_back(pool.alloc());
+  for (int i : {5, 2, 7}) pool.release(ps[i]);
+  EXPECT_EQ(pool.alloc(), ps[7]);
+  EXPECT_EQ(pool.alloc(), ps[2]);
+  EXPECT_EQ(pool.alloc(), ps[5]);
+}
+
+TEST(packet_pool, fresh_slab_is_handed_out_in_ascending_address_order) {
+  packet_pool pool;
+  std::vector<packet*> ps;
+  for (int i = 0; i < 2048; ++i) ps.push_back(pool.alloc());  // two slabs
+  for (std::uint32_t i = 0; i < ps.size(); ++i) {
+    EXPECT_EQ(ps[i]->pool_index, i);
+    EXPECT_EQ(ps[i], ps[i - i % 1024] + i % 1024);  // slab base + slot
   }
 }
 
-TEST(packet_pool, double_free_detected_across_compaction) {
-  // compact() re-sorts the free list; the in-pool poison lives in the packet
-  // itself, so a stale pointer must still be rejected afterwards and the
-  // slot must come back exactly once.
+TEST(packet_pool, double_free_detected_after_churn_across_two_slabs) {
+  // The in-pool flag lives in the packet itself, so a stale pointer is
+  // rejected however churn has reordered the free list, and every slot
+  // comes back exactly once.
   packet_pool pool;
-  packet* a = pool.alloc();
-  packet* b = pool.alloc();
-  pool.release(b);
-  pool.release(a);
-  pool.compact();
-  EXPECT_THROW(pool.release(a), simulation_error);
-  packet* x = pool.alloc();
-  packet* y = pool.alloc();
-  EXPECT_NE(x, y);
-  EXPECT_EQ(pool.outstanding(), 2u);
-  pool.release(x);
-  pool.release(y);
+  std::vector<packet*> ps, again;
+  for (int i = 0; i < 1500; ++i) ps.push_back(pool.alloc());
+  for (std::size_t i = 0; i < ps.size(); i += 2) pool.release(ps[i]);
+  for (int i = 0; i < 300; ++i) again.push_back(pool.alloc());
+  for (std::size_t i = 1; i < ps.size(); i += 2) pool.release(ps[i]);
+  EXPECT_THROW(pool.release(ps[0]), simulation_error);     // first slab
+  EXPECT_THROW(pool.release(ps[1101]), simulation_error);  // second slab
+  EXPECT_EQ(pool.outstanding(), again.size());
+  for (packet* p : again) pool.release(p);
+  std::set<packet*> seen;
+  for (int i = 0; i < 1500; ++i) seen.insert(pool.alloc());
+  EXPECT_EQ(seen.size(), 1500u);
+  EXPECT_EQ(pool.capacity(), 2048u);
 }
 
-TEST(packet_pool, compaction_preserves_outstanding_packets) {
-  // Live packets are untouched by compaction: contents, addresses and the
-  // double-free guard all survive a compact() of the free list around them.
+TEST(packet_pool, live_packets_keep_contents_while_others_churn) {
   packet_pool pool;
   std::vector<packet*> live;
-  for (int i = 0; i < 1500; ++i) {
-    packet* p = pool.alloc();
-    p->seqno = static_cast<std::uint64_t>(i);
-    if (i % 3 == 0) {
-      live.push_back(p);
-    } else {
-      pool.release(p);
+  for (int round = 0; round < 4; ++round) {
+    std::vector<packet*> tmp;
+    for (int i = 0; i < 1500; ++i) tmp.push_back(pool.alloc());
+    for (std::size_t i = 0; i < tmp.size(); ++i) {
+      if (i % 100 == 0) {
+        tmp[i]->seqno = live.size();
+        live.push_back(tmp[i]);
+      }
+    }
+    // Release the rest out of allocation order: odd slots, then even ones.
+    for (std::size_t i = 1; i < tmp.size(); i += 2) pool.release(tmp[i]);
+    for (std::size_t i = 2; i < tmp.size(); i += 2) {
+      if (i % 100 != 0) pool.release(tmp[i]);
     }
   }
-  pool.compact();
   for (std::size_t i = 0; i < live.size(); ++i) {
-    EXPECT_EQ(live[i]->seqno, static_cast<std::uint64_t>(3 * i));
+    EXPECT_EQ(live[i]->seqno, i);
     EXPECT_FALSE(live[i]->in_pool);
   }
   for (packet* p : live) pool.release(p);
