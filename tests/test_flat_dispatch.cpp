@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "harness/experiments.h"
+#include "topo/micro_topo.h"
 #include "workload/traffic_matrix.h"
 
 namespace ndpsim {
@@ -203,6 +204,141 @@ INSTANTIATE_TEST_SUITE_P(
                       golden_case{protocol::dcqcn, 0x2f789aa7a98cb4e1ull},
                       golden_case{protocol::phost, 0x52a72b6c09461e23ull}),
     [](const auto& info) { return std::string(to_string(info.param.proto)); });
+
+// ---------------------------------------------------------------------------
+// Micro-topology goldens: the paper's small testbeds (back-to-back NICs, the
+// Fig 2/21 star, the Fig 9 leaf-spine) under every transport.  A seeded
+// 90 KB permutation (the pair swap on back_to_back), then from 5 us a 45 KB
+// incast into host 0 from every other host, run to completion and hashed
+// like the FatTree goldens above.  These pin how the small fabrics are wired
+// and routed, whatever builds them.
+// ---------------------------------------------------------------------------
+
+enum class micro_shape { back_to_back, star, leaf_spine };
+
+const char* to_string(micro_shape s) {
+  switch (s) {
+    case micro_shape::back_to_back: return "b2b";
+    case micro_shape::star: return "star";
+    case micro_shape::leaf_spine: return "leaf_spine";
+  }
+  return "?";
+}
+
+template <class Topo>
+workload_result run_micro(sim_env& env, Topo& topo, protocol proto) {
+  flow_factory factory(env, topo);
+  const auto n = static_cast<std::uint32_t>(topo.n_hosts());
+  const std::vector<std::uint32_t> matrix =
+      n == 2 ? std::vector<std::uint32_t>{1, 0} : permutation_matrix(env.rng, n);
+  std::vector<flow*> flows;
+  for (std::uint32_t h = 0; h < n; ++h) {
+    flow_options o;
+    o.bytes = 90'000;
+    o.start = static_cast<simtime_t>(env.rand_below(1000)) * kNanosecond;
+    flows.push_back(&factory.create(proto, h, matrix[h], o));
+  }
+  for (std::uint32_t h = 1; h < n; ++h) {
+    flow_options o;
+    o.bytes = 45'000;
+    o.start = from_us(5) +
+              static_cast<simtime_t>(env.rand_below(1000)) * kNanosecond;
+    flows.push_back(&factory.create(proto, h, 0, o));
+  }
+  run_until_complete(env, flows, from_ms(500));
+  workload_result out;
+  for (const flow* f : flows) {
+    EXPECT_TRUE(f->complete()) << "flow " << f->id;
+    out.records.push_back(flow_record{f->id, f->src, f->dst, f->start_time,
+                                      f->completion_time(), f->complete()});
+  }
+  out.events = env.events.events_processed();
+  return out;
+}
+
+workload_result run_micro_workload(micro_shape shape, protocol proto) {
+  fabric_params fp;
+  fp.proto = proto;
+  sim_env env(7);
+  const queue_factory qf = make_queue_factory(env, fp);
+  switch (shape) {
+    case micro_shape::back_to_back: {
+      back_to_back topo(env, gbps(10), from_us(1), qf);
+      return run_micro(env, topo, proto);
+    }
+    case micro_shape::star: {
+      single_switch topo(env, 8, gbps(10), from_us(1), qf);
+      return run_micro(env, topo, proto);
+    }
+    case micro_shape::leaf_spine: {
+      leaf_spine topo(env, 4, 2, 2, gbps(10), from_us(1), qf);
+      return run_micro(env, topo, proto);
+    }
+  }
+  return {};
+}
+
+struct micro_golden_case {
+  micro_shape shape;
+  protocol proto;
+  std::uint64_t hash;
+};
+
+class micro_topo_golden : public ::testing::TestWithParam<micro_golden_case> {};
+
+TEST_P(micro_topo_golden, fct_records_bitwise_match) {
+  const micro_golden_case& c = GetParam();
+  const workload_result got = run_micro_workload(c.shape, c.proto);
+  EXPECT_EQ(hash_workload(got), c.hash)
+      << "observed hash 0x" << std::hex << hash_workload(got) << " for "
+      << to_string(c.shape) << "/" << to_string(c.proto);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    all_transports, micro_topo_golden,
+    // As on the FatTree goldens, DCTCP never crosses its marking threshold
+    // here and coincides with TCP bit for bit.
+    ::testing::Values(
+        micro_golden_case{micro_shape::back_to_back, protocol::ndp,
+                          0xee032f7701263faaull},
+        micro_golden_case{micro_shape::back_to_back, protocol::tcp,
+                          0xa1eb39e370f5ad85ull},
+        micro_golden_case{micro_shape::back_to_back, protocol::dctcp,
+                          0xa1eb39e370f5ad85ull},
+        micro_golden_case{micro_shape::back_to_back, protocol::mptcp,
+                          0xdc8ac2ebe10da0aeull},
+        micro_golden_case{micro_shape::back_to_back, protocol::dcqcn,
+                          0x3fb12b6bafc45fd5ull},
+        micro_golden_case{micro_shape::back_to_back, protocol::phost,
+                          0xece3d895ad7c7af6ull},
+        micro_golden_case{micro_shape::star, protocol::ndp,
+                          0xf6be8094806528ffull},
+        micro_golden_case{micro_shape::star, protocol::tcp,
+                          0x108e6b0532e3d1fcull},
+        micro_golden_case{micro_shape::star, protocol::dctcp,
+                          0x108e6b0532e3d1fcull},
+        micro_golden_case{micro_shape::star, protocol::mptcp,
+                          0x4bef28607d49097dull},
+        micro_golden_case{micro_shape::star, protocol::dcqcn,
+                          0x5ebf9da4561a5cc2ull},
+        micro_golden_case{micro_shape::star, protocol::phost,
+                          0x52c283fce8f4a8d5ull},
+        micro_golden_case{micro_shape::leaf_spine, protocol::ndp,
+                          0xd1e82e965dc0cfe2ull},
+        micro_golden_case{micro_shape::leaf_spine, protocol::tcp,
+                          0xa91e9cd3349516f6ull},
+        micro_golden_case{micro_shape::leaf_spine, protocol::dctcp,
+                          0xa91e9cd3349516f6ull},
+        micro_golden_case{micro_shape::leaf_spine, protocol::mptcp,
+                          0xd3e3882e554c456bull},
+        micro_golden_case{micro_shape::leaf_spine, protocol::dcqcn,
+                          0xfeb1259d615221c4ull},
+        micro_golden_case{micro_shape::leaf_spine, protocol::phost,
+                          0x667252a85ba7ed6eull}),
+    [](const auto& info) {
+      return std::string(to_string(info.param.shape)) + "_" +
+             to_string(info.param.proto);
+    });
 
 // ---------------------------------------------------------------------------
 // Scheduler-level identity: zero-delay self-rescheduling lane sources racing
