@@ -348,14 +348,22 @@ route_setup_result run_route_setup() {
     const auto matrix = permutation_matrix(env.rng, ft.n_hosts());
     null_sink ep;
     std::vector<std::unique_ptr<owned_route>> keep;  // flows own to sim end
+    std::vector<std::uint32_t> seq;
+    // One private route per direction, hop by hop from the structural path.
+    auto build = [&](std::uint32_t a, std::uint32_t b, std::size_t p) {
+      ft.blueprint()->build_path(a, b, p, seq);
+      auto r = std::make_unique<owned_route>();
+      for (const std::uint32_t slot : seq) r->push_back(ft.sink_table()[slot]);
+      r->push_back(&ep);
+      return r;
+    };
     const auto t0 = std::chrono::steady_clock::now();
     for (int round = 0; round < kRounds; ++round) {
       for (std::uint32_t h = 0; h < ft.n_hosts(); ++h) {
         const std::size_t n = ft.n_paths(h, matrix[h]);
         for (std::size_t p = 0; p < n; ++p) {
-          auto [f, r] = ft.make_route_pair(h, matrix[h], p);
-          f->push_back(&ep);
-          r->push_back(&ep);
+          auto f = build(h, matrix[h], p);
+          auto r = build(matrix[h], h, p);
           f->set_reverse(r.get());
           r->set_reverse(f.get());
           keep.push_back(std::move(f));
@@ -463,9 +471,9 @@ fabric_setup_result run_fabric_setup(unsigned k, int rounds) {
         sinks[l.first_slot + 1] = pipes.back().get();
         queues.push_back(std::move(q));
       }
-      // The pre-split route model: `make_route_pair` heap-builds a scratch
-      // pair per path and the per-env table copies the hops into its arena
-      // (what `path_table::ensure_path` did before the blueprint existed).
+      // The pre-split route model: heap-build a scratch pair per path and
+      // copy its hops into a per-env arena (what `path_table::ensure_path`
+      // did before the blueprint existed).
       std::vector<std::uint32_t> seq;
       std::deque<route> arena_routes;
       std::vector<std::unique_ptr<packet_sink*[]>> arena;

@@ -3,7 +3,7 @@
 // Shows the extension points a downstream user needs:
 //   * a custom queue_factory (here: NDP queues with a deliberately tiny
 //     header queue plus return-to-sender, to watch RTS kick in),
-//   * a hand-built leaf-spine topology instead of the FatTree,
+//   * a leaf-spine topology instead of the FatTree,
 //   * direct access to per-queue statistics,
 //   * the zero-RTT acceptor for listen-style applications.
 //

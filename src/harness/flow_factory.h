@@ -14,7 +14,7 @@
 #include "ndp/ndp_source.h"
 #include "ndp/pull_pacer.h"
 #include "phost/phost.h"
-#include "topo/topology.h"
+#include "topo/fabric_instance.h"
 
 namespace ndpsim {
 
@@ -101,7 +101,7 @@ class flow_factory {
   static constexpr std::size_t kAutoCapHosts = 4096;
   static constexpr std::size_t kAutoCapPaths = 16;
 
-  flow_factory(sim_env& env, topology& topo) : env_(env), topo_(topo) {}
+  flow_factory(sim_env& env, fabric_instance& topo) : env_(env), topo_(topo) {}
 
   /// The multipath cap `create` will apply for the given options: the
   /// explicit cap if set, else the automatic large-fabric default.
@@ -142,7 +142,7 @@ class flow_factory {
 
  private:
   sim_env& env_;
-  topology& topo_;
+  fabric_instance& topo_;
   std::vector<std::unique_ptr<flow>> flows_;
   std::vector<std::uint32_t> free_slots_;
   // Recycled flow-id blocks, keyed by block span (MPTCP consumes

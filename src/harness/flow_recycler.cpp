@@ -6,7 +6,7 @@
 
 namespace ndpsim {
 
-flow_recycler::flow_recycler(sim_env& env, topology& topo,
+flow_recycler::flow_recycler(sim_env& env, fabric_instance& topo,
                              flow_factory& flows, recycler_config cfg,
                              pair_picker pick_pair, size_picker pick_size,
                              std::string name)

@@ -62,7 +62,7 @@ class flow_recycler final : public event_source {
   /// `cfg.opts.bytes`).
   using size_picker = std::function<std::uint64_t(sim_env&)>;
 
-  flow_recycler(sim_env& env, topology& topo, flow_factory& flows,
+  flow_recycler(sim_env& env, fabric_instance& topo, flow_factory& flows,
                 recycler_config cfg, pair_picker pick_pair,
                 size_picker pick_size = {},
                 std::string name = "flow_recycler");

@@ -58,10 +58,10 @@ class ndp_source final : public packet_sink, public event_source {
   ~ndp_source() override;
 
   /// Wire up a connection over a borrowed multipath set (shared interned
-  /// routes from `topology::paths()`, or a `manual_paths` build).  Registers
-  /// this source and the sink with the set's demuxes under the flow id,
-  /// hands the control (reverse) routes to the sink and schedules the
-  /// first-window push at `start`.  `flow_bytes == 0` means an unbounded
+  /// routes from `fabric_instance::paths()`, or a `manual_paths` build).
+  /// Registers this source and the sink with the set's demuxes under the
+  /// flow id, hands the control (reverse) routes to the sink and schedules
+  /// the first-window push at `start`.  `flow_bytes == 0` means an unbounded
   /// flow.  If `rx_endpoint` is non-null it is registered as the receiving
   /// endpoint instead of the sink (used to interpose an `ndp_acceptor` for
   /// zero-RTT listen semantics); it must eventually hand packets to the sink.

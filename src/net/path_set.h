@@ -1,4 +1,4 @@
-// Shared-route plumbing between the topology's path table and the transports.
+// Shared-route plumbing between the fabric's path table and the transports.
 //
 // With interned routes, a route is a per-fabric object shared by every flow
 // on that (src, dst, path) — so it cannot end at a per-flow endpoint.

@@ -15,15 +15,15 @@
 // split): the slot sequences live once in a `fabric_blueprint`'s structural
 // path table, shared read-only by every `sim_env`, while each
 // `fabric_instance` supplies its own sink table of materialized queues,
-// pipes and demuxes.  Hand-built routes (`owned_route`, the `path_table`
-// hop arena) use an identity slot sequence over their own sink storage, so
-// `at(i)` behaves exactly as before.
+// pipes and demuxes.  Only hand-wired routes (`owned_route`, as built by
+// tests and `manual_paths`) use an identity slot sequence over their own
+// sink storage, so `at(i)` is just `hops[i]`.
 //
 // Reverse-pointer lifetime contract: `reverse()` is a raw pointer, so the
 // reverse route (and the storage its hops view) must outlive every use of the
 // forward route — in particular packets in flight carry `reverse_rt` for
 // return-to-sender.  Interned routes satisfy this by construction: forward
-// and reverse of a path are interned together into the same arena and neither
+// and reverse of a path are interned together in one path table and neither
 // is ever freed before the table.  Hand-built pairs must keep both sides
 // alive for the duration of the run; `path_table` asserts reciprocity
 // (`fwd->reverse()->reverse() == fwd`) at interning time.
@@ -82,8 +82,8 @@ class packet_sink {
 class route {
  public:
   route() = default;
-  /// View over externally-owned contiguous hop storage (path_table arena,
-  /// owned_route): identity slots, hop i is `hops[i]`.
+  /// View over externally-owned contiguous hop storage (`owned_route`):
+  /// identity slots, hop i is `hops[i]`.
   route(packet_sink* const* hops, std::uint32_t n)
       : route(hops, identity_slots(n), n) {}
   /// Slot-indexed view: hop i is `table[slots[i]]`.  `slots` is shared
@@ -140,10 +140,9 @@ class route {
   const route* reverse_ = nullptr;
 };
 
-/// A route that owns its hop storage: hand-built wiring in tests, benches and
-/// custom topologies, and the scratch routes `topology::make_route_pair`
-/// returns for the path_table to intern.  Not copyable — the base view points
-/// into this object's vector.
+/// A route that owns its hop storage: hand-wired queues in tests and
+/// `manual_paths` sets.  Not copyable — the base view points into this
+/// object's vector.
 class owned_route final : public route {
  public:
   owned_route() = default;

@@ -9,35 +9,78 @@ namespace {
   return (static_cast<std::uint64_t>(src) << 32) | dst;
 }
 constexpr std::size_t kBlockSlots = 8192;
+
+/// Link parameters of the micro testbeds: uniform, no PFC, no FatTree k.
+[[nodiscard]] fat_tree_config micro_links(linkspeed_bps speed,
+                                          simtime_t delay) {
+  fat_tree_config cfg;
+  cfg.k = 0;
+  cfg.link_speed = speed;
+  cfg.link_delay = delay;
+  return cfg;
+}
 }  // namespace
 
 std::shared_ptr<const fabric_blueprint> fabric_blueprint::fat_tree(
     fat_tree_config cfg) {
+  NDPSIM_ASSERT_MSG(cfg.k >= 2 && cfg.k % 2 == 0, "k must be even and >= 2");
+  NDPSIM_ASSERT(cfg.oversubscription >= 1);
+  const unsigned half_k = cfg.k / 2;
+  const unsigned pods = cfg.k;
+  const unsigned hosts_per_tor = cfg.oversubscription * half_k;
   // make_shared needs a public ctor; the private ctor + explicit new keeps
-  // construction behind the factory.
-  return std::shared_ptr<const fabric_blueprint>(
-      new fabric_blueprint(std::move(cfg)));
+  // construction behind the factories.
+  return std::shared_ptr<const fabric_blueprint>(new fabric_blueprint(
+      std::move(cfg), pods, half_k, half_k, hosts_per_tor));
 }
 
-fabric_blueprint::fabric_blueprint(fat_tree_config cfg)
-    : cfg_(std::move(cfg)), half_k_(cfg_.k / 2) {
-  NDPSIM_ASSERT_MSG(cfg_.k >= 2 && cfg_.k % 2 == 0, "k must be even and >= 2");
-  NDPSIM_ASSERT(cfg_.oversubscription >= 1);
-  hosts_per_tor_ = cfg_.oversubscription * half_k_;
-  n_tor_ = static_cast<std::size_t>(cfg_.k) * half_k_;
-  n_agg_ = n_tor_;
-  n_core_ = static_cast<std::size_t>(half_k_) * half_k_;
-  n_hosts_ = n_tor_ * hosts_per_tor_;
+std::shared_ptr<const fabric_blueprint> fabric_blueprint::leaf_spine(
+    std::size_t n_leaf, std::size_t n_spine, std::size_t hosts_per_leaf,
+    linkspeed_bps speed, simtime_t delay) {
+  NDPSIM_ASSERT(n_leaf >= 1 && hosts_per_leaf >= 1);
+  NDPSIM_ASSERT_MSG(n_spine >= 1 || n_leaf == 1, "leaves need a spine");
+  return std::shared_ptr<const fabric_blueprint>(new fabric_blueprint(
+      micro_links(speed, delay), 1, static_cast<unsigned>(n_leaf),
+      static_cast<unsigned>(n_spine), static_cast<unsigned>(hosts_per_leaf)));
+}
 
-  const std::size_t n_links =
-      n_hosts_ * 2 +                       // host_up + tor_down
-      n_tor_ * half_k_ * 2 +               // tor_up + agg_down
-      static_cast<std::size_t>(cfg_.k) * half_k_ * half_k_ +  // agg_up
-      n_core_ * cfg_.k;                    // core_down
+std::shared_ptr<const fabric_blueprint> fabric_blueprint::single_switch(
+    std::size_t n_hosts, linkspeed_bps speed, simtime_t delay) {
+  NDPSIM_ASSERT(n_hosts >= 2);
+  return leaf_spine(1, 0, n_hosts, speed, delay);
+}
+
+std::shared_ptr<const fabric_blueprint> fabric_blueprint::back_to_back(
+    linkspeed_bps speed, simtime_t delay) {
+  // No ToR: both hosts sit at "ToR" 0, so they share one path, and that
+  // path is the sender's NIC link alone.
+  return std::shared_ptr<const fabric_blueprint>(
+      new fabric_blueprint(micro_links(speed, delay), 1, 0, 0, 2));
+}
+
+fabric_blueprint::fabric_blueprint(fat_tree_config cfg, unsigned pods,
+                                   unsigned tors_per_pod, unsigned aggs_per_pod,
+                                   unsigned hosts_per_tor)
+    : cfg_(std::move(cfg)),
+      n_pods_(pods),
+      tors_per_pod_(tors_per_pod),
+      aggs_per_pod_(aggs_per_pod),
+      hosts_per_tor_(hosts_per_tor) {
+  n_tor_ = static_cast<std::size_t>(n_pods_) * tors_per_pod_;
+  n_agg_ = static_cast<std::size_t>(n_pods_) * aggs_per_pod_;
+  // A core layer joins the pods only when there is more than one.
+  n_core_ =
+      n_pods_ > 1 ? static_cast<std::size_t>(aggs_per_pod_) * tors_per_pod_ : 0;
+  // Switchless (back-to-back): the hosts share the one ToR-less position.
+  n_hosts_ = std::max<std::size_t>(n_tor_, 1) * hosts_per_tor_;
+
+  const std::size_t n_links = n_hosts_ * 2 +               // host_up, tor_down
+                              n_tor_ * aggs_per_pod_ * 2 +  // tor_up, agg_down
+                              n_core_ * n_pods_ * 2;        // agg_up, core_down
   links_.reserve(n_links);
 
-  // Same creation order (and per-level flat indexing) as the former
-  // env-bound builder, so `queues_at(level)[index]` keeps its meaning.
+  // Levels in traversal order, each in its flat-index order, so
+  // `queues_at(level)[index]` keeps its meaning.
   level_base_[static_cast<std::size_t>(link_level::host_up)] =
       static_cast<std::uint32_t>(links_.size());
   for (std::size_t h = 0; h < n_hosts_; ++h) {
@@ -46,24 +89,27 @@ fabric_blueprint::fabric_blueprint(fat_tree_config cfg)
   level_base_[static_cast<std::size_t>(link_level::tor_up)] =
       static_cast<std::uint32_t>(links_.size());
   for (std::size_t t = 0; t < n_tor_; ++t) {
-    for (unsigned j = 0; j < half_k_; ++j) {
-      add_link(link_level::tor_up, static_cast<std::uint32_t>(t * half_k_ + j));
+    for (unsigned j = 0; j < aggs_per_pod_; ++j) {
+      add_link(link_level::tor_up,
+               static_cast<std::uint32_t>(tor_up_index(t, j)));
     }
   }
   level_base_[static_cast<std::size_t>(link_level::agg_up)] =
       static_cast<std::uint32_t>(links_.size());
-  for (unsigned p = 0; p < cfg_.k; ++p) {
-    for (unsigned j = 0; j < half_k_; ++j) {
-      for (unsigned m = 0; m < half_k_; ++m) {
-        add_link(link_level::agg_up,
-                 static_cast<std::uint32_t>(agg_up_index(p, j, m)));
+  if (n_core_ > 0) {
+    for (unsigned p = 0; p < n_pods_; ++p) {
+      for (unsigned j = 0; j < aggs_per_pod_; ++j) {
+        for (unsigned m = 0; m < tors_per_pod_; ++m) {
+          add_link(link_level::agg_up,
+                   static_cast<std::uint32_t>(agg_up_index(p, j, m)));
+        }
       }
     }
   }
   level_base_[static_cast<std::size_t>(link_level::core_down)] =
       static_cast<std::uint32_t>(links_.size());
   for (std::size_t c = 0; c < n_core_; ++c) {
-    for (unsigned p = 0; p < cfg_.k; ++p) {
+    for (unsigned p = 0; p < n_pods_; ++p) {
       add_link(link_level::core_down,
                static_cast<std::uint32_t>(
                    core_down_index(static_cast<unsigned>(c), p)));
@@ -71,12 +117,11 @@ fabric_blueprint::fabric_blueprint(fat_tree_config cfg)
   }
   level_base_[static_cast<std::size_t>(link_level::agg_down)] =
       static_cast<std::uint32_t>(links_.size());
-  for (unsigned p = 0; p < cfg_.k; ++p) {
-    for (unsigned j = 0; j < half_k_; ++j) {
-      for (unsigned i = 0; i < half_k_; ++i) {
+  for (unsigned p = 0; p < n_pods_; ++p) {
+    for (unsigned j = 0; j < aggs_per_pod_; ++j) {
+      for (unsigned i = 0; i < tors_per_pod_; ++i) {
         add_link(link_level::agg_down,
-                 static_cast<std::uint32_t>(
-                     (static_cast<std::size_t>(p) * half_k_ + j) * half_k_ + i));
+                 static_cast<std::uint32_t>(agg_down_index(p, j, i)));
       }
     }
   }
@@ -123,7 +168,7 @@ std::size_t fabric_blueprint::n_paths(std::uint32_t src,
                                       std::uint32_t dst) const {
   NDPSIM_ASSERT(src < n_hosts_ && dst < n_hosts_ && src != dst);
   if (tor_of(src) == tor_of(dst)) return 1;
-  if (pod_of(src) == pod_of(dst)) return half_k_;
+  if (pod_of(src) == pod_of(dst)) return aggs_per_pod_;
   return n_core_;
 }
 
@@ -145,22 +190,19 @@ std::string fabric_blueprint::format_name(std::uint32_t slot) const {
       base = "hostup" + std::to_string(idx);
       break;
     case link_level::tor_up:
-      base = "torup" + std::to_string(idx / half_k_) + "." +
-             std::to_string(idx % half_k_);
+      base = "torup" + std::to_string(idx / aggs_per_pod_) + "." +
+             std::to_string(idx % aggs_per_pod_);
       break;
     case link_level::agg_up:
-      base = "aggup" + std::to_string(idx / (half_k_ * half_k_)) + "." +
-             std::to_string((idx / half_k_) % half_k_) + "." +
-             std::to_string(idx % half_k_);
+    case link_level::agg_down:
+      base = (l.level == link_level::agg_up ? "aggup" : "aggdn") +
+             std::to_string(idx / (aggs_per_pod_ * tors_per_pod_)) + "." +
+             std::to_string((idx / tors_per_pod_) % aggs_per_pod_) + "." +
+             std::to_string(idx % tors_per_pod_);
       break;
     case link_level::core_down:
-      base = "coredn" + std::to_string(idx / cfg_.k) + "." +
-             std::to_string(idx % cfg_.k);
-      break;
-    case link_level::agg_down:
-      base = "aggdn" + std::to_string(idx / (half_k_ * half_k_)) + "." +
-             std::to_string((idx / half_k_) % half_k_) + "." +
-             std::to_string(idx % half_k_);
+      base = "coredn" + std::to_string(idx / n_pods_) + "." +
+             std::to_string(idx % n_pods_);
       break;
     case link_level::tor_down:
       base = "tordn" + std::to_string(idx / hosts_per_tor_) + "." +
@@ -187,54 +229,41 @@ void fabric_blueprint::build_path(std::uint32_t src, std::uint32_t dst,
                                   std::vector<std::uint32_t>& out) const {
   NDPSIM_ASSERT(path < n_paths(src, dst));
   out.clear();
+  append_link_slots(link_id(link_level::host_up, src), out);
+  if (n_tor_ == 0) return;  // back-to-back: the NIC wire ends at the peer
   const std::uint32_t ts = tor_of(src);
   const std::uint32_t td = tor_of(dst);
-  const unsigned ld = dst % hosts_per_tor_;
-  append_link_slots(link_id(link_level::host_up, src), out);
+  const std::uint32_t tor_down = link_id(
+      link_level::tor_down,
+      static_cast<std::size_t>(td) * hosts_per_tor_ + dst % hosts_per_tor_);
   if (ts == td) {
-    append_link_slots(
-        link_id(link_level::tor_down,
-                static_cast<std::size_t>(td) * hosts_per_tor_ + ld),
-        out);
+    append_link_slots(tor_down, out);
     return;
   }
   const unsigned ps = pod_of(src);
   const unsigned pd = pod_of(dst);
-  const unsigned id = td % half_k_;
+  const unsigned id = td % tors_per_pod_;
   if (ps == pd) {
+    // Intra-pod: the path index selects the aggregation switch.
     const unsigned j = static_cast<unsigned>(path);
-    append_link_slots(
-        link_id(link_level::tor_up, static_cast<std::size_t>(ts) * half_k_ + j),
-        out);
-    append_link_slots(
-        link_id(link_level::agg_down,
-                (static_cast<std::size_t>(ps) * half_k_ + j) * half_k_ + id),
-        out);
-    append_link_slots(
-        link_id(link_level::tor_down,
-                static_cast<std::size_t>(td) * hosts_per_tor_ + ld),
-        out);
+    append_link_slots(link_id(link_level::tor_up, tor_up_index(ts, j)), out);
+    append_link_slots(link_id(link_level::agg_down, agg_down_index(ps, j, id)),
+                      out);
+    append_link_slots(tor_down, out);
     return;
   }
   // Inter-pod: the path index selects the core switch; the core determines
-  // the aggregation switch (j = core / half_k) in both pods.
+  // the aggregation switch (j = core / tors-per-pod) in both pods.
   const unsigned core = static_cast<unsigned>(path);
-  const unsigned j = core / half_k_;
-  const unsigned m = core % half_k_;
-  append_link_slots(
-      link_id(link_level::tor_up, static_cast<std::size_t>(ts) * half_k_ + j),
-      out);
+  const unsigned j = core / tors_per_pod_;
+  const unsigned m = core % tors_per_pod_;
+  append_link_slots(link_id(link_level::tor_up, tor_up_index(ts, j)), out);
   append_link_slots(link_id(link_level::agg_up, agg_up_index(ps, j, m)), out);
   append_link_slots(link_id(link_level::core_down, core_down_index(core, pd)),
                     out);
-  append_link_slots(
-      link_id(link_level::agg_down,
-              (static_cast<std::size_t>(pd) * half_k_ + j) * half_k_ + id),
-      out);
-  append_link_slots(
-      link_id(link_level::tor_down,
-              static_cast<std::size_t>(td) * hosts_per_tor_ + ld),
-      out);
+  append_link_slots(link_id(link_level::agg_down, agg_down_index(pd, j, id)),
+                    out);
+  append_link_slots(tor_down, out);
 }
 
 const std::uint32_t* fabric_blueprint::intern_slots(
@@ -285,13 +314,6 @@ void fabric_blueprint::structural_paths(std::uint32_t src, std::uint32_t dst,
     }
     out[i] = structural_pair_view{found->fwd, found->rev};
   }
-}
-
-fabric_blueprint::structural_pair_view fabric_blueprint::structural_pair(
-    std::uint32_t src, std::uint32_t dst, std::size_t path) const {
-  structural_pair_view v;
-  structural_paths(src, dst, &path, 1, &v);
-  return v;
 }
 
 std::size_t fabric_blueprint::interned_paths() const {

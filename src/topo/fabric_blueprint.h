@@ -1,7 +1,7 @@
 // Immutable fabric structure, split from per-simulation state.
 //
-// A `fabric_blueprint` is an env-free description of a FatTree's wiring:
-// flat link records (level, flat index, rate, delay, slot assignment), an
+// A `fabric_blueprint` is an env-free description of a fabric's wiring: flat
+// link records (level, flat index, rate, delay, slot assignment), an
 // interned name pool (component names are formatted lazily from the records
 // — see sim/name_ref.h), and a structural path table that interns each
 // (src, dst, path) route exactly once as a sequence of **sink-slot ids**
@@ -10,6 +10,13 @@
 // including concurrently across `parallel_runner` jobs (the structural path
 // table interns lazily under a mutex; everything else is immutable after
 // construction).
+//
+// Every fabric is one geometry: pods of ToRs and aggregation switches, with
+// a core layer joining the pods when there is more than one.  A k-ary
+// FatTree has k pods of k/2 ToRs and k/2 aggs; a leaf-spine is one coreless
+// pod (leaves are ToRs, spines are aggs); a single switch is a leaf-spine
+// with one leaf and no spines; back-to-back NICs are the one switchless
+// case, where a route is just the sender's NIC link.
 //
 // Slot layout: each directed link owns 2 or 3 consecutive slots —
 // [queue, pipe, pfc-ingress?] in traversal order — followed by one slot per
@@ -45,7 +52,7 @@ struct pfc_config {
 };
 
 struct fat_tree_config {
-  unsigned k = 8;  ///< pods; must be even
+  unsigned k = 8;  ///< pods; must be even (0 on the micro-testbed blueprints)
   unsigned oversubscription = 1;
   linkspeed_bps link_speed = gbps(10);
   simtime_t link_delay = from_us(1);
@@ -80,10 +87,21 @@ class fabric_blueprint final : public name_pool {
     slot_span fwd, rev;
   };
 
-  /// Build the blueprint for a k-ary FatTree (same wiring, indexing and
-  /// naming as the former env-bound `fat_tree` builder).
+  /// A k-ary FatTree.
   [[nodiscard]] static std::shared_ptr<const fabric_blueprint> fat_tree(
       fat_tree_config cfg);
+  /// `n_leaf` ToRs of `hosts_per_leaf` hosts, each wired to all `n_spine`
+  /// spines (one coreless pod).  The paper's 8-server testbed is
+  /// leaf_spine(4, 2, 2).
+  [[nodiscard]] static std::shared_ptr<const fabric_blueprint> leaf_spine(
+      std::size_t n_leaf, std::size_t n_spine, std::size_t hosts_per_leaf,
+      linkspeed_bps speed, simtime_t delay);
+  /// `n_hosts` hosts on one switch: leaf_spine(1, 0, n_hosts).
+  [[nodiscard]] static std::shared_ptr<const fabric_blueprint> single_switch(
+      std::size_t n_hosts, linkspeed_bps speed, simtime_t delay);
+  /// Two hosts whose NICs are wired to each other.
+  [[nodiscard]] static std::shared_ptr<const fabric_blueprint> back_to_back(
+      linkspeed_bps speed, simtime_t delay);
 
   fabric_blueprint(const fabric_blueprint&) = delete;
   fabric_blueprint& operator=(const fabric_blueprint&) = delete;
@@ -99,18 +117,33 @@ class fabric_blueprint final : public name_pool {
     return host / hosts_per_tor_;
   }
   [[nodiscard]] std::uint32_t pod_of(std::uint32_t host) const {
-    return tor_of(host) / half_k_;
+    return tor_of(host) / tors_per_pod_;
+  }
+  // Flat per-level link indices.  Each agg has as many core uplinks as it
+  // has ToRs below it, so `port` ranges over tors-per-pod.
+  [[nodiscard]] std::size_t tor_up_index(std::size_t tor, unsigned agg) const {
+    return tor * aggs_per_pod_ + agg;
   }
   [[nodiscard]] std::size_t agg_up_index(unsigned pod, unsigned agg,
                                          unsigned port) const {
-    return (static_cast<std::size_t>(pod) * half_k_ + agg) * half_k_ + port;
+    return (static_cast<std::size_t>(pod) * aggs_per_pod_ + agg) *
+               tors_per_pod_ +
+           port;
   }
   [[nodiscard]] std::size_t core_down_index(unsigned core, unsigned pod) const {
-    return static_cast<std::size_t>(core) * cfg_.k + pod;
+    return static_cast<std::size_t>(core) * n_pods_ + pod;
+  }
+  [[nodiscard]] std::size_t agg_down_index(unsigned pod, unsigned agg,
+                                           unsigned tor) const {
+    return (static_cast<std::size_t>(pod) * aggs_per_pod_ + agg) *
+               tors_per_pod_ +
+           tor;
   }
   [[nodiscard]] std::size_t n_paths(std::uint32_t src, std::uint32_t dst) const;
-  [[nodiscard]] linkspeed_bps host_link_speed(std::uint32_t) const {
-    return cfg_.link_speed;
+  /// Rate of the host's own NIC link (its `host_up` record, overrides
+  /// included): what receiver-driven pacing must run at.
+  [[nodiscard]] linkspeed_bps host_link_speed(std::uint32_t host) const {
+    return links_[link_id(link_level::host_up, host)].rate;
   }
 
   // --- links & slots -----------------------------------------------------
@@ -132,26 +165,19 @@ class fabric_blueprint final : public name_pool {
   [[nodiscard]] std::string format_name(std::uint32_t slot) const override;
 
   // --- structural path table --------------------------------------------
-  /// The interned slot sequences of one (src, dst, path) route pair, both
-  /// ending at the destination's demux slot.  Built exactly once per path,
-  /// lazily, under a mutex — safe to call concurrently from parallel jobs
-  /// sharing the blueprint.  Returned spans stay valid for the blueprint's
-  /// lifetime.
-  [[nodiscard]] structural_pair_view structural_pair(std::uint32_t src,
-                                                     std::uint32_t dst,
-                                                     std::size_t path) const;
-
-  /// Batch form: fetch/intern `count` paths of one pair under a single lock
-  /// (a multipath connect resolves its whole sampled set at once — per-path
-  /// locking showed up at k=32 scale).  `out` receives one view per entry of
-  /// `paths`, in order.
+  /// The interned slot sequences of `count` (src, dst, path) route pairs,
+  /// each ending at the destination's demux slot.  Each path is built
+  /// exactly once, lazily, under one lock for the whole batch (a multipath
+  /// connect resolves its sampled set at once — per-path locking showed up
+  /// at k=32 scale) — safe to call concurrently from parallel jobs sharing
+  /// the blueprint.  `out` receives one view per entry of `paths`, in order;
+  /// the spans stay valid for the blueprint's lifetime.
   void structural_paths(std::uint32_t src, std::uint32_t dst,
                         const std::size_t* paths, std::size_t count,
                         structural_pair_view* out) const;
 
   /// Compute (without interning) the link-slot sequence of one direction of
-  /// a path, excluding the demux terminal — the raw structural builder used
-  /// by `fabric_instance::make_route_pair` scratch routes.
+  /// a path, excluding the demux terminal.
   void build_path(std::uint32_t src, std::uint32_t dst, std::size_t path,
                   std::vector<std::uint32_t>& out) const;
 
@@ -163,7 +189,8 @@ class fabric_blueprint final : public name_pool {
   [[nodiscard]] std::size_t resident_bytes() const;
 
  private:
-  explicit fabric_blueprint(fat_tree_config cfg);
+  fabric_blueprint(fat_tree_config cfg, unsigned pods, unsigned tors_per_pod,
+                   unsigned aggs_per_pod, unsigned hosts_per_tor);
 
   void add_link(link_level level, std::uint32_t index);
   /// Append one link's traversal slots (queue, pipe, ingress?) to `out`.
@@ -172,8 +199,7 @@ class fabric_blueprint final : public name_pool {
       const std::vector<std::uint32_t>& seq) const;
 
   fat_tree_config cfg_;
-  unsigned half_k_;
-  unsigned hosts_per_tor_;
+  unsigned n_pods_, tors_per_pod_, aggs_per_pod_, hosts_per_tor_;
   std::size_t n_tor_, n_agg_, n_core_, n_hosts_;
 
   std::vector<link_record> links_;

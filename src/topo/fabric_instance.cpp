@@ -4,6 +4,7 @@
 
 #include "net/path_set.h"
 #include "sim/telemetry.h"
+#include "topo/path_table.h"
 
 namespace ndpsim {
 
@@ -77,17 +78,11 @@ fabric_instance::fabric_instance(sim_env& env,
   }
 }
 
-route_pair fabric_instance::make_route_pair(std::uint32_t src,
-                                            std::uint32_t dst,
-                                            std::size_t path) {
-  auto build = [this](std::uint32_t a, std::uint32_t b, std::size_t p) {
-    std::vector<std::uint32_t> seq;
-    bp_->build_path(a, b, p, seq);
-    auto r = std::make_unique<owned_route>();
-    for (const std::uint32_t slot : seq) r->push_back(sinks_[slot]);
-    return r;
-  };
-  return {build(src, dst, path), build(dst, src, path)};
+fabric_instance::~fabric_instance() = default;
+
+path_table& fabric_instance::paths() {
+  if (paths_ == nullptr) paths_ = std::make_unique<path_table>(*this);
+  return *paths_;
 }
 
 void fabric_instance::bind_demux_slot(std::uint32_t host, flow_demux* d) {

@@ -10,9 +10,12 @@
 // only the mutable per-env objects.  Component names are lazy `name_ref`s
 // into the blueprint's name pool: instantiation formats nothing.
 //
+// Every fabric is an instance: `fat_tree` (topo/fat_tree.h) and the micro
+// testbeds (topo/micro_topo.h) are thin constructors over their blueprints.
+//
 // Lifetime: the instance holds a shared_ptr keeping the blueprint alive;
 // the instance itself must outlive every flow connected over it (its
-// inherited `path_table` holds routes into the sink table).
+// `path_table` holds routes into the sink table).
 #pragma once
 
 #include <deque>
@@ -27,36 +30,38 @@
 
 namespace ndpsim {
 
-class fabric_instance : public topology {
+class flow_demux;
+class path_table;
+
+class fabric_instance {
  public:
   fabric_instance(sim_env& env, std::shared_ptr<const fabric_blueprint> bp,
                   const queue_factory& make_queue);
+  ~fabric_instance();
+  fabric_instance(const fabric_instance&) = delete;
+  fabric_instance& operator=(const fabric_instance&) = delete;
 
-  [[nodiscard]] std::size_t n_hosts() const override { return bp_->n_hosts(); }
+  [[nodiscard]] std::size_t n_hosts() const { return bp_->n_hosts(); }
+  /// Number of distinct paths from `src` to `dst`.
   [[nodiscard]] std::size_t n_paths(std::uint32_t src,
-                                    std::uint32_t dst) const override {
+                                    std::uint32_t dst) const {
     return bp_->n_paths(src, dst);
   }
-  [[nodiscard]] route_pair make_route_pair(std::uint32_t src,
-                                           std::uint32_t dst,
-                                           std::size_t path) override;
-  [[nodiscard]] linkspeed_bps host_link_speed(
-      std::uint32_t host) const override {
+  [[nodiscard]] linkspeed_bps host_link_speed(std::uint32_t host) const {
     return bp_->host_link_speed(host);
   }
 
-  [[nodiscard]] const fabric_blueprint* blueprint() const override {
-    return bp_.get();
-  }
-  [[nodiscard]] packet_sink* const* sink_table() const override {
-    return sinks_.data();
-  }
-  void bind_demux_slot(std::uint32_t host, flow_demux* d) override;
+  /// The interned path table: shared routes for every flow on this fabric.
+  /// Built lazily; lives (and keeps every handed-out route alive) as long as
+  /// the instance.
+  [[nodiscard]] path_table& paths();
 
-  [[nodiscard]] const std::shared_ptr<const fabric_blueprint>& blueprint_ptr()
-      const {
-    return bp_;
-  }
+  [[nodiscard]] const fabric_blueprint* blueprint() const { return bp_.get(); }
+  /// Per-env sink table indexed by blueprint slot id.
+  [[nodiscard]] packet_sink* const* sink_table() const { return sinks_.data(); }
+  /// Called by the path table when it creates a host's demux: mounts it at
+  /// the host's demux slot, where structural routes end.
+  void bind_demux_slot(std::uint32_t host, flow_demux* d);
 
   /// Summed queue stats over all queues at one level (e.g. trims on uplinks).
   [[nodiscard]] queue_stats aggregate_stats(link_level level) const;
@@ -71,6 +76,9 @@ class fabric_instance : public topology {
   [[nodiscard]] std::size_t resident_bytes() const;
 
  private:
+  // Declared first so it is destroyed last, after the queues and pipes
+  // whose routes end at its demuxes.
+  std::unique_ptr<path_table> paths_;
   sim_env& env_;
   std::shared_ptr<const fabric_blueprint> bp_;
   std::vector<std::unique_ptr<queue_base>> queues_;  // [link id]

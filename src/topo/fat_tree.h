@@ -16,10 +16,11 @@
 //
 // Structure/state split: the wiring itself lives in an immutable
 // `fabric_blueprint` (topo/fabric_blueprint.h) and this class is a
-// `fabric_instance` of it plus FatTree-geometry accessors.  The one-argument
-// constructor builds a private blueprint (the classic single-run shape); the
-// shared_ptr constructor stamps an instance out of a blueprint shared with
-// other simulations (e.g. one per `parallel_runner` job).
+// `fabric_instance` of a FatTree-shaped one plus FatTree-geometry
+// accessors.  The one-argument constructor builds a private blueprint (the
+// classic single-run shape); the shared_ptr constructor stamps an instance
+// out of a blueprint shared with other simulations (e.g. one per
+// `parallel_runner` job).
 #pragma once
 
 #include <memory>
@@ -33,10 +34,13 @@ class fat_tree final : public fabric_instance {
   fat_tree(sim_env& env, fat_tree_config cfg, const queue_factory& make_queue)
       : fabric_instance(env, fabric_blueprint::fat_tree(std::move(cfg)),
                         make_queue) {}
-  /// Instantiate over a shared (possibly concurrently used) blueprint.
+  /// Instantiate over a shared (possibly concurrently used) FatTree
+  /// blueprint.
   fat_tree(sim_env& env, std::shared_ptr<const fabric_blueprint> bp,
            const queue_factory& make_queue)
-      : fabric_instance(env, std::move(bp), make_queue) {}
+      : fabric_instance(env, std::move(bp), make_queue) {
+    NDPSIM_ASSERT_MSG(config().k != 0, "fat_tree over a non-FatTree blueprint");
+  }
 
   [[nodiscard]] const fat_tree_config& config() const {
     return blueprint()->config();
@@ -47,20 +51,8 @@ class fat_tree final : public fabric_instance {
   [[nodiscard]] unsigned hosts_per_tor() const {
     return blueprint()->hosts_per_tor();
   }
-  [[nodiscard]] std::uint32_t tor_of(std::uint32_t host) const {
-    return blueprint()->tor_of(host);
-  }
   [[nodiscard]] std::uint32_t pod_of(std::uint32_t host) const {
     return blueprint()->pod_of(host);
-  }
-
-  // Flat-index helpers for speed overrides (directed links).
-  [[nodiscard]] std::size_t agg_up_index(unsigned pod, unsigned agg,
-                                         unsigned port) const {
-    return blueprint()->agg_up_index(pod, agg, port);
-  }
-  [[nodiscard]] std::size_t core_down_index(unsigned core, unsigned pod) const {
-    return blueprint()->core_down_index(core, pod);
   }
 };
 

@@ -1,117 +1,59 @@
-// Small topologies: back-to-back host pair, single switch (star), and
-// two-tier leaf-spine (the paper's 8-server NetFPGA testbed, Fig 9).
+// The paper's small testbeds as fabric instances: a back-to-back host pair,
+// a single switch (star) and a two-tier leaf-spine (the 8-server NetFPGA
+// testbed, Fig 9).  Each is a thin constructor over its blueprint
+// (topo/fabric_blueprint.h), so routing, demuxes and telemetry work exactly
+// as on a FatTree.
 #pragma once
 
-#include <memory>
-#include <vector>
-
-#include "net/pipe.h"
-#include "net/sim_env.h"
-#include "topo/topology.h"
+#include "topo/fabric_instance.h"
 
 namespace ndpsim {
 
 /// Two hosts joined by one bidirectional link; the only queue is the sending
 /// host's NIC.  Used for RPC latency and initial-window experiments.
-class back_to_back final : public topology {
+class back_to_back final : public fabric_instance {
  public:
   back_to_back(sim_env& env, linkspeed_bps speed, simtime_t delay,
-               const queue_factory& make_queue);
+               const queue_factory& make_queue)
+      : fabric_instance(env, fabric_blueprint::back_to_back(speed, delay),
+                        make_queue) {}
 
-  [[nodiscard]] std::size_t n_hosts() const override { return 2; }
-  [[nodiscard]] std::size_t n_paths(std::uint32_t,
-                                    std::uint32_t) const override {
-    return 1;
+  [[nodiscard]] queue_base& nic(std::uint32_t host) const {
+    return *queues_at(link_level::host_up)[host];
   }
-  [[nodiscard]] route_pair make_route_pair(std::uint32_t src,
-                                           std::uint32_t dst,
-                                           std::size_t path) override;
-  [[nodiscard]] linkspeed_bps host_link_speed(std::uint32_t) const override {
-    return speed_;
-  }
-  [[nodiscard]] queue_base& nic(std::uint32_t host) {
-    return *nic_q_[host];
-  }
-
- private:
-  linkspeed_bps speed_;
-  std::vector<std::unique_ptr<queue_base>> nic_q_;
-  std::vector<std::unique_ptr<pipe>> nic_p_;
 };
 
 /// H hosts hanging off one switch. Exercises a single contended output port:
 /// the CP-vs-NDP collapse experiment (Fig 2) and the sender-limited fairness
 /// scenario (Fig 21).
-class single_switch final : public topology {
+class single_switch final : public fabric_instance {
  public:
   single_switch(sim_env& env, std::size_t n_hosts, linkspeed_bps speed,
-                simtime_t delay, const queue_factory& make_queue);
+                simtime_t delay, const queue_factory& make_queue)
+      : fabric_instance(
+            env, fabric_blueprint::single_switch(n_hosts, speed, delay),
+            make_queue) {}
 
-  [[nodiscard]] std::size_t n_hosts() const override { return nic_q_.size(); }
-  [[nodiscard]] std::size_t n_paths(std::uint32_t,
-                                    std::uint32_t) const override {
-    return 1;
-  }
-  [[nodiscard]] route_pair make_route_pair(std::uint32_t src,
-                                           std::uint32_t dst,
-                                           std::size_t path) override;
-  [[nodiscard]] linkspeed_bps host_link_speed(std::uint32_t) const override {
-    return speed_;
-  }
   /// The switch egress port towards `host` (where contention happens).
-  [[nodiscard]] queue_base& switch_port(std::uint32_t host) {
-    return *sw_q_[host];
+  [[nodiscard]] queue_base& switch_port(std::uint32_t host) const {
+    return *queues_at(link_level::tor_down)[host];
   }
-
- private:
-  linkspeed_bps speed_;
-  std::vector<std::unique_ptr<queue_base>> nic_q_;
-  std::vector<std::unique_ptr<pipe>> nic_p_;
-  std::vector<std::unique_ptr<queue_base>> sw_q_;
-  std::vector<std::unique_ptr<pipe>> sw_p_;
 };
 
 /// Two-tier leaf-spine: `n_leaf` ToR switches with `hosts_per_leaf` hosts
 /// each, every ToR connected to every one of `n_spine` spines. The paper's
 /// testbed is leaf_spine(4 leaves, 2 spines, 2 hosts/leaf) built from 4-port
 /// switches.
-class leaf_spine final : public topology {
+class leaf_spine final : public fabric_instance {
  public:
   leaf_spine(sim_env& env, std::size_t n_leaf, std::size_t n_spine,
              std::size_t hosts_per_leaf, linkspeed_bps speed, simtime_t delay,
-             const queue_factory& make_queue);
-
-  [[nodiscard]] std::size_t n_hosts() const override {
-    return n_leaf_ * hosts_per_leaf_;
-  }
-  [[nodiscard]] std::size_t n_paths(std::uint32_t src,
-                                    std::uint32_t dst) const override;
-  [[nodiscard]] route_pair make_route_pair(std::uint32_t src,
-                                           std::uint32_t dst,
-                                           std::size_t path) override;
-  [[nodiscard]] linkspeed_bps host_link_speed(std::uint32_t) const override {
-    return speed_;
-  }
-  [[nodiscard]] std::uint32_t leaf_of(std::uint32_t host) const {
-    return host / static_cast<std::uint32_t>(hosts_per_leaf_);
-  }
-
- private:
-  struct link {
-    std::unique_ptr<queue_base> q;
-    std::unique_ptr<pipe> p;
-  };
-  link make_link(link_level level, std::size_t index, const std::string& name,
-                 linkspeed_bps speed, simtime_t delay,
-                 const queue_factory& make_queue);
-
-  std::size_t n_leaf_, n_spine_, hosts_per_leaf_;
-  linkspeed_bps speed_;
-  std::vector<link> host_up_;    // [host]
-  std::vector<link> leaf_up_;    // [leaf][spine]
-  std::vector<link> spine_down_; // [spine][leaf]
-  std::vector<link> leaf_down_;  // [leaf][local host]
-  sim_env* env_ = nullptr;
+             const queue_factory& make_queue)
+      : fabric_instance(env,
+                        fabric_blueprint::leaf_spine(n_leaf, n_spine,
+                                                     hosts_per_leaf, speed,
+                                                     delay),
+                        make_queue) {}
 };
 
 }  // namespace ndpsim

@@ -2,29 +2,17 @@
 
 #include <algorithm>
 
-#include "topo/fabric_blueprint.h"
-#include "topo/topology.h"
+#include "topo/fabric_instance.h"
 
 namespace ndpsim {
-
-// topology's out-of-line members live here so topology.h only needs a
-// forward declaration of path_table.
-topology::topology() = default;
-topology::~topology() = default;
-
-path_table& topology::paths() {
-  if (paths_ == nullptr) paths_ = std::make_unique<path_table>(*this);
-  return *paths_;
-}
 
 namespace {
 [[nodiscard]] std::uint64_t pair_key(std::uint32_t src, std::uint32_t dst) {
   return (static_cast<std::uint64_t>(src) << 32) | dst;
 }
-constexpr std::size_t kBlockHops = 4096;
 }  // namespace
 
-path_table::path_table(topology& topo) : topo_(topo) {
+path_table::path_table(fabric_instance& topo) : topo_(topo) {
   demux_.resize(topo_.n_hosts());
 }
 
@@ -33,8 +21,7 @@ flow_demux& path_table::demux(std::uint32_t host) {
   if (demux_[host] == nullptr) {
     demux_[host] = std::make_unique<flow_demux>();
     demux_[host]->set_stale_pool(stale_pool_);
-    // Blueprint-backed topologies mount the demux at the host's sink slot so
-    // structural routes (which end at that slot) can resolve it.
+    // Mounted at the host's sink slot, where structural routes end.
     topo_.bind_demux_slot(host, demux_[host].get());
   }
   return *demux_[host];
@@ -53,27 +40,6 @@ std::uint64_t path_table::stale_drops() const {
     if (d != nullptr) n += d->stale_drops();
   }
   return n;
-}
-
-packet_sink** path_table::alloc_hops(std::size_t n) {
-  if (block_used_ + n > block_cap_) {
-    block_cap_ = std::max(kBlockHops, n);
-    block_used_ = 0;
-    blocks_.push_back(std::make_unique<packet_sink*[]>(block_cap_));
-  }
-  packet_sink** span = blocks_.back().get() + block_used_;
-  block_used_ += n;
-  hops_total_ += n;
-  return span;
-}
-
-route* path_table::intern_route(const route& built, flow_demux* terminal) {
-  const std::size_t n = built.size() + 1;  // + demux terminal
-  packet_sink** span = alloc_hops(n);
-  for (std::size_t i = 0; i < built.size(); ++i) span[i] = &built.at(i);
-  span[n - 1] = terminal;
-  routes_.emplace_back(span, static_cast<std::uint32_t>(n));
-  return &routes_.back();
 }
 
 path_table::pair_entry& path_table::entry_for(std::uint32_t src,
@@ -128,39 +94,23 @@ void path_table::ensure_paths(pair_entry& e, std::uint32_t src,
     ++interned_;
   };
 
-  if (const fabric_blueprint* bp = topo_.blueprint(); bp != nullptr) {
-    // Structure/state split: the slot sequences are interned once in the
-    // shared blueprint (one lock for the whole batch; thread-safe across
-    // parallel jobs sharing it); this env only creates two 32-byte route
-    // views per path over its own sink table — no hop copying, no per-env
-    // arena.  The demuxes must exist first so the terminal slots resolve.
-    (void)demux(dst);
-    (void)demux(src);
-    views_scratch_.resize(missing_scratch_.size());
-    bp->structural_paths(src, dst, missing_scratch_.data(),
-                         missing_scratch_.size(), views_scratch_.data());
-    packet_sink* const* table = topo_.sink_table();
-    NDPSIM_ASSERT(table != nullptr);
-    for (std::size_t i = 0; i < missing_scratch_.size(); ++i) {
-      const auto& pv = views_scratch_[i];
-      routes_.emplace_back(table, pv.fwd.slots, pv.fwd.n);
-      route* fi = &routes_.back();
-      routes_.emplace_back(table, pv.rev.slots, pv.rev.n);
-      route* ri = &routes_.back();
-      fi->set_reverse(ri);
-      ri->set_reverse(fi);
-      record(static_cast<std::uint32_t>(missing_scratch_[i]), fi, ri);
-    }
-    return;
-  }
-
-  for (const std::size_t path : missing_scratch_) {
-    auto [f, r] = topo_.make_route_pair(src, dst, path);
-    NDPSIM_ASSERT_MSG(
-        f != nullptr && r != nullptr && !f->empty() && !r->empty(),
-        "topology built an empty route");
-    route* fi = intern_route(*f, &demux(dst));
-    route* ri = intern_route(*r, &demux(src));
+  // The slot sequences are interned once in the shared blueprint (one lock
+  // for the whole batch; thread-safe across parallel jobs sharing it); this
+  // env only creates two 32-byte route views per path over its own sink
+  // table.  The demuxes must exist first so the terminal slots resolve.
+  (void)demux(dst);
+  (void)demux(src);
+  views_scratch_.resize(missing_scratch_.size());
+  topo_.blueprint()->structural_paths(src, dst, missing_scratch_.data(),
+                                      missing_scratch_.size(),
+                                      views_scratch_.data());
+  packet_sink* const* table = topo_.sink_table();
+  for (std::size_t i = 0; i < missing_scratch_.size(); ++i) {
+    const auto& pv = views_scratch_[i];
+    routes_.emplace_back(table, pv.fwd.slots, pv.fwd.n);
+    route* fi = &routes_.back();
+    routes_.emplace_back(table, pv.rev.slots, pv.rev.n);
+    route* ri = &routes_.back();
     fi->set_reverse(ri);
     ri->set_reverse(fi);
     // The reverse-pointer lifetime contract (net/route.h): both directions
@@ -168,7 +118,7 @@ void path_table::ensure_paths(pair_entry& e, std::uint32_t src,
     // lives.
     NDPSIM_ASSERT(fi->reverse()->reverse() == fi);
     NDPSIM_ASSERT(ri->reverse()->reverse() == ri);
-    record(static_cast<std::uint32_t>(path), fi, ri);
+    record(static_cast<std::uint32_t>(missing_scratch_[i]), fi, ri);
   }
 }
 
@@ -301,8 +251,7 @@ const route* path_table::reverse(std::uint32_t src, std::uint32_t dst,
 }
 
 std::size_t path_table::resident_bytes() const {
-  std::size_t bytes = hops_total_ * sizeof(packet_sink*) +
-                      routes_.size() * sizeof(route) +
+  std::size_t bytes = routes_.size() * sizeof(route) +
                       slots_.size() * sizeof(path_slot);
   for (const auto& [key, e] : pairs_) {
     (void)key;

@@ -9,21 +9,16 @@
 // therefore O(pairs-used x paths) for the whole fabric instead of
 // O(flows x paths x hops).
 //
-// Two interning modes, chosen per topology:
-//  * blueprint-backed (`topology::blueprint() != nullptr`): the hop
-//    sequence lives once, as slot ids, in the shared `fabric_blueprint`'s
-//    structural table; this env only creates two small route views over its
-//    instance's sink table.  N parallel jobs over one blueprint duplicate
-//    none of the hop storage.
-//  * legacy (hand-built topologies): hops are copied into this table's
-//    chunked arena (a contiguous span per route, no per-route heap vector)
-//    via the topology's `make_route_pair` scratch builder.
+// Each route is a view over the shared `fabric_blueprint`'s interned slot
+// sequence, resolved through this instance's sink table: the hop sequence
+// lives once in the blueprint, and this env only creates two small route
+// views per path.  N parallel jobs over one blueprint duplicate none of the
+// hop storage.
 //
-// Forward and reverse of a path are interned together: both live in the same
-// arena and neither is freed before the table, which is what makes the raw
-// `route::reverse()` pointer safe (see the lifetime contract in net/route.h).
-// Reciprocity (`fwd->reverse()->reverse() == fwd`) is asserted at interning
-// time.
+// Forward and reverse of a path are interned together and neither is freed
+// before the table, which is what makes the raw `route::reverse()` pointer
+// safe (see the lifetime contract in net/route.h).  Reciprocity
+// (`fwd->reverse()->reverse() == fwd`) is asserted at interning time.
 #pragma once
 
 #include <cstdint>
@@ -39,11 +34,11 @@
 
 namespace ndpsim {
 
-class topology;
+class fabric_instance;
 
 class path_table {
  public:
-  explicit path_table(topology& topo);
+  explicit path_table(fabric_instance& topo);
   path_table(const path_table&) = delete;
   path_table& operator=(const path_table&) = delete;
 
@@ -95,8 +90,8 @@ class path_table {
   /// Distinct (src, dst, path) routes interned so far (forward + reverse
   /// count as one path).
   [[nodiscard]] std::size_t interned_paths() const { return interned_; }
-  /// Resident bytes of shared route state: hop arena + route objects +
-  /// pair/subset pointer arrays.
+  /// Resident bytes of this table's route state: route views + pair/subset
+  /// pointer arrays (the slot sequences are the blueprint's).
   [[nodiscard]] std::size_t resident_bytes() const;
   /// Subset pointer-array slots ever created / currently in the free pool.
   /// Their difference is the number of live sampled subsets: flat over a
@@ -133,24 +128,16 @@ class path_table {
                                                std::uint32_t path);
   void ensure_path(pair_entry& e, std::uint32_t src, std::uint32_t dst,
                    std::size_t path);
-  /// Build all not-yet-built paths in `paths` at once: blueprint-backed
-  /// topologies intern the whole batch under one blueprint lock (per-path
-  /// locking dominated connect cost at k=32 scale).
+  /// Build all not-yet-built paths in `paths` at once, interning the whole
+  /// batch under one blueprint lock (per-path locking dominated connect cost
+  /// at k=32 scale).
   void ensure_paths(pair_entry& e, std::uint32_t src, std::uint32_t dst,
                     const std::size_t* paths, std::size_t count);
-  [[nodiscard]] route* intern_route(const route& built, flow_demux* terminal);
-  [[nodiscard]] packet_sink** alloc_hops(std::size_t n);
 
-  topology& topo_;
+  fabric_instance& topo_;
   std::unordered_map<std::uint64_t, pair_entry> pairs_;
   std::deque<route> routes_;  // deque: handed-out route*s are pinned
   std::deque<path_slot> slots_;  // deque: single() views point into these
-
-  // Chunked hop arena: bump allocation, one contiguous span per route.
-  std::vector<std::unique_ptr<packet_sink*[]>> blocks_;
-  std::size_t block_used_ = 0;
-  std::size_t block_cap_ = 0;
-  std::size_t hops_total_ = 0;
 
   // Per-sample subset pointer arrays (deque: views stay valid as flows add
   // more subsets).  Slots are pooled: `release` marks a slot free and

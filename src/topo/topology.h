@@ -1,29 +1,15 @@
-// Topology abstraction: anything that can enumerate multipath source routes
-// between hosts.
-//
-// `make_route_pair` builds one endpoint-less route pair (it stops after the
-// final pipe) and is the raw structural builder — tests and the path table
-// use it.  Flows never call it directly any more: they borrow shared routes
-// from the topology-owned `path_table` (see `paths()`), which interns each
-// distinct (src, dst, path) route exactly once, appends the per-host
-// `flow_demux` terminal, and stores hops in one contiguous arena.
-// Forward/reverse pairs with the same path index traverse the same switches
-// in opposite directions, which NDP's return-to-sender relies on.
+// Fabric vocabulary shared by blueprints, instances and queue factories:
+// where a link sits in the fabric (`link_level`) and the factory that builds
+// each link's egress queue.  Fabrics themselves are `fabric_instance`s of a
+// `fabric_blueprint` (topo/fabric_instance.h).
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <string>
-#include <utility>
 
 #include "net/queue.h"
-#include "net/route.h"
 
 namespace ndpsim {
-
-class fabric_blueprint;
-class flow_demux;
-class path_table;
 
 /// Where a queue sits in the topology (used for per-level statistics, e.g.
 /// counting trims on core uplinks, and for queue-type selection).
@@ -57,53 +43,5 @@ using queue_factory =
                                               std::size_t index,
                                               linkspeed_bps rate,
                                               name_ref name)>;
-
-/// Route pair: {forward, reverse}, both endpoint-less and self-owning
-/// (scratch output of the builder; the path table copies hops into its arena).
-using route_pair =
-    std::pair<std::unique_ptr<owned_route>, std::unique_ptr<owned_route>>;
-
-class topology {
- public:
-  topology();
-  virtual ~topology();
-  topology(const topology&) = delete;
-  topology& operator=(const topology&) = delete;
-
-  [[nodiscard]] virtual std::size_t n_hosts() const = 0;
-  /// Number of distinct paths from `src` to `dst`.
-  [[nodiscard]] virtual std::size_t n_paths(std::uint32_t src,
-                                            std::uint32_t dst) const = 0;
-  /// Build the route pair for one path index in [0, n_paths)).
-  [[nodiscard]] virtual route_pair make_route_pair(std::uint32_t src,
-                                                   std::uint32_t dst,
-                                                   std::size_t path) = 0;
-  [[nodiscard]] virtual linkspeed_bps host_link_speed(
-      std::uint32_t host) const = 0;
-
-  /// The interned path table: shared routes for every flow on this fabric.
-  /// Built lazily; lives (and keeps every handed-out route alive) as long as
-  /// the topology.
-  [[nodiscard]] path_table& paths();
-
-  // --- structure/state split hooks (see topo/fabric_blueprint.h) ---------
-  /// The immutable shared blueprint behind this topology, or nullptr for
-  /// hand-built topologies.  When non-null, the path table resolves routes
-  /// as blueprint slot sequences over `sink_table()` instead of interning
-  /// per-env hop copies via `make_route_pair`.
-  [[nodiscard]] virtual const fabric_blueprint* blueprint() const {
-    return nullptr;
-  }
-  /// Per-env sink table indexed by blueprint slot id (null hooks otherwise).
-  [[nodiscard]] virtual packet_sink* const* sink_table() const {
-    return nullptr;
-  }
-  /// Called by the path table when it creates a host's demux, so a
-  /// blueprint-backed topology can mount it at the host's demux slot.
-  virtual void bind_demux_slot(std::uint32_t /*host*/, flow_demux* /*d*/) {}
-
- private:
-  std::unique_ptr<path_table> paths_;
-};
 
 }  // namespace ndpsim

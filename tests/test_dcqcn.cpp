@@ -25,7 +25,7 @@ queue_factory red_factory(sim_env& env, std::uint32_t kmin_pkts = 5,
 }
 
 struct qconn {
-  qconn(sim_env& env, topology& topo, std::uint32_t s, std::uint32_t d,
+  qconn(sim_env& env, fabric_instance& topo, std::uint32_t s, std::uint32_t d,
         std::uint64_t bytes, std::uint32_t fid, dcqcn_config cfg = {})
       : source(env, cfg, fid), sink(env, fid) {
     source.connect(sink, topo.paths().single(s, d, 0), s, d, bytes, 0);

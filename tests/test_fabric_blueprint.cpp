@@ -47,6 +47,36 @@ TEST(fabric_blueprint, geometry_matches_fat_tree_structure) {
   EXPECT_EQ(bp->n_slots(), links * 2 + bp->n_hosts());
 }
 
+TEST(fabric_blueprint, micro_testbeds_are_coreless_pods) {
+  // Leaf-spine: one pod, leaves as ToRs and spines as aggs, no core layer.
+  auto ls = fabric_blueprint::leaf_spine(4, 2, 2, gbps(10), from_us(1));
+  EXPECT_EQ(ls->n_hosts(), 8u);
+  EXPECT_EQ(ls->n_tors(), 4u);
+  EXPECT_EQ(ls->n_aggs(), 2u);
+  EXPECT_EQ(ls->n_cores(), 0u);
+  EXPECT_EQ(ls->n_paths(0, 7), 2u);  // one per spine
+  EXPECT_EQ(ls->links().size(), 8u * 2 + 4u * 2 * 2);
+  EXPECT_EQ(ls->format_name(ls->links()[8].first_slot), "torup0.0");
+  EXPECT_EQ(ls->config().k, 0u);
+  // A single switch is a leaf-spine with one leaf and no spines.
+  auto star = fabric_blueprint::single_switch(5, gbps(10), from_us(1));
+  EXPECT_EQ(star->n_hosts(), 5u);
+  EXPECT_EQ(star->n_aggs(), 0u);
+  EXPECT_EQ(star->links().size(), 5u * 2);
+  // Back-to-back: no switch at all, the route is the sender's NIC link.
+  auto b2b = fabric_blueprint::back_to_back(gbps(10), from_us(1));
+  EXPECT_EQ(b2b->n_hosts(), 2u);
+  EXPECT_EQ(b2b->n_tors(), 0u);
+  EXPECT_EQ(b2b->links().size(), 2u);
+  std::vector<std::uint32_t> slots;
+  b2b->build_path(1, 0, 0, slots);
+  EXPECT_EQ(slots, (std::vector<std::uint32_t>{b2b->links()[1].first_slot,
+                                               b2b->links()[1].first_slot + 1}));
+  // The FatTree face refuses a blueprint that is not a FatTree.
+  sim_env env;
+  EXPECT_THROW(fat_tree(env, ls, droptail_factory(env)), simulation_error);
+}
+
 TEST(fabric_blueprint, pfc_links_carry_a_third_slot_except_tor_down) {
   fat_tree_config cfg = ft_cfg(4);
   cfg.pfc.enabled = true;
@@ -240,19 +270,6 @@ TEST(fabric_blueprint, parallel_sweep_over_shared_blueprint_is_deterministic) {
   }
   // Every job completed its incast.
   for (const auto& out : a) EXPECT_EQ(out.fcts.completed(), 5u);
-}
-
-TEST(fabric_blueprint, make_route_pair_resolves_same_sinks_as_shared_routes) {
-  sim_env env;
-  fat_tree ft(env, ft_cfg(4), droptail_factory(env));
-  auto [raw_fwd, raw_rev] = ft.make_route_pair(2, 13, 1);
-  const route* fwd = ft.paths().forward(2, 13, 1);
-  ASSERT_EQ(fwd->size(), raw_fwd->size() + 1);  // + demux terminal
-  for (std::size_t i = 0; i < raw_fwd->size(); ++i) {
-    EXPECT_EQ(&fwd->at(i), &raw_fwd->at(i));
-  }
-  EXPECT_EQ(&fwd->at(fwd->size() - 1),
-            static_cast<packet_sink*>(&ft.paths().demux(13)));
 }
 
 }  // namespace

@@ -113,7 +113,7 @@ TEST_P(fat_tree_paths, interpod_paths_are_pairwise_distinct) {
   const packet_sink* first = nullptr;
   const packet_sink* last = nullptr;
   for (std::size_t p = 0; p < n; ++p) {
-    auto [fwd, rev] = ft.make_route_pair(src, dst, p);
+    auto fwd = testing::fabric_route(ft, src, dst, p);
     std::vector<const packet_sink*> middle;
     for (std::size_t i = 2; i + 2 < fwd->size(); i += 2) {
       middle.push_back(&fwd->at(i));
@@ -139,7 +139,9 @@ TEST_P(fat_tree_paths, reverse_of_reverse_is_forward_shape) {
     return std::unique_ptr<queue_base>(
         std::make_unique<drop_tail_queue>(env, rate, 100 * 9000, name));
   });
-  auto [fwd, rev] = ft.make_route_pair(1, static_cast<std::uint32_t>(ft.n_hosts() - 2), 0);
+  const auto far = static_cast<std::uint32_t>(ft.n_hosts() - 2);
+  auto fwd = testing::fabric_route(ft, 1, far, 0);
+  auto rev = testing::fabric_route(ft, far, 1, 0);
   EXPECT_EQ(fwd->size(), rev->size());
   EXPECT_EQ(fwd->queue_hops(), rev->queue_hops());
 }

@@ -20,7 +20,7 @@ queue_factory droptail_factory(sim_env& env, std::uint32_t pkts = 100) {
   };
 }
 
-std::unique_ptr<mptcp_source> make_mptcp(sim_env& env, topology& topo,
+std::unique_ptr<mptcp_source> make_mptcp(sim_env& env, fabric_instance& topo,
                                          std::uint32_t s, std::uint32_t d,
                                          std::uint64_t bytes,
                                          std::size_t n_subflows,

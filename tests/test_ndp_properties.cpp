@@ -28,7 +28,7 @@ queue_factory ndp_factory(sim_env& env, std::uint32_t data_pkts) {
 }
 
 struct conn {
-  conn(sim_env& env, topology& topo, pull_pacer& pacer, std::uint32_t s,
+  conn(sim_env& env, fabric_instance& topo, pull_pacer& pacer, std::uint32_t s,
        std::uint32_t d, std::uint64_t bytes, std::uint32_t fid,
        const ndp_source_config& sc, const ndp_sink_config& kc = {})
       : source(env, sc, fid), sink(env, pacer, kc, fid) {

@@ -126,7 +126,7 @@ TEST(ndp_robustness, many_connections_share_one_pacer_exactly) {
   single_switch star(env, 17, gbps(10), from_us(1), ndp_factory(env));
   pull_pacer pacer(env, gbps(10));
   struct conn {
-    conn(sim_env& e, topology& t, pull_pacer& pc, std::uint32_t s,
+    conn(sim_env& e, fabric_instance& t, pull_pacer& pc, std::uint32_t s,
          std::uint32_t fid)
         : src(e, {}, fid), snk(e, pc, {}, fid) {
       src.connect(snk, t.paths().all(s, 16), s, 16, 50 * 8936, 0);

@@ -29,7 +29,7 @@ queue_factory ndp_factory(sim_env& env, std::uint32_t data_pkts = 8,
 }
 
 struct connection {
-  connection(sim_env& env, topology& topo, pull_pacer& pacer, std::uint32_t s,
+  connection(sim_env& env, fabric_instance& topo, pull_pacer& pacer, std::uint32_t s,
              std::uint32_t d, std::uint64_t bytes, std::uint32_t fid,
              ndp_source_config sc = {}, ndp_sink_config kc = {},
              simtime_t start = 0)

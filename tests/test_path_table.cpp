@@ -1,5 +1,5 @@
-// The interned path table: shared routes, the flat hop arena, per-host
-// demux delivery, subset sampling and the reverse-pointer invariant.
+// The interned path table: shared routes, per-host demux delivery, subset
+// sampling and the reverse-pointer invariant.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -63,9 +63,10 @@ TEST(path_table, flow_factory_shares_routes_between_flows) {
 TEST(path_table, interned_route_appends_demux_terminal) {
   sim_env env;
   fat_tree ft(env, ft_cfg(4), droptail_factory(env));
-  auto [raw_fwd, raw_rev] = ft.make_route_pair(0, 15, 0);
+  auto raw_fwd = testing::fabric_route(ft, 0, 15, 0);
   const route* fwd = ft.paths().forward(0, 15, 0);
-  // Same fabric hops plus the demux terminal where the endpoint used to go.
+  // The blueprint's hops over this instance's sinks, plus the demux
+  // terminal where an endpoint would go.
   ASSERT_EQ(fwd->size(), raw_fwd->size() + 1);
   EXPECT_EQ(fwd->queue_hops(), raw_fwd->queue_hops());
   for (std::size_t i = 0; i < raw_fwd->size(); ++i) {

@@ -19,7 +19,7 @@ queue_factory droptail_factory(sim_env& env, std::uint32_t pkts) {
 }
 
 struct pconn {
-  pconn(sim_env& env, topology& topo, phost_token_pacer& pacer,
+  pconn(sim_env& env, fabric_instance& topo, phost_token_pacer& pacer,
         std::uint32_t s, std::uint32_t d, std::uint64_t bytes,
         std::uint32_t fid)
       : source(env, {}, fid), sink(env, pacer, {}, fid) {

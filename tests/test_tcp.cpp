@@ -21,7 +21,7 @@ queue_factory droptail_factory(sim_env& env, std::uint32_t pkts = 100) {
 }
 
 struct tconn {
-  tconn(sim_env& env, topology& topo, std::uint32_t s, std::uint32_t d,
+  tconn(sim_env& env, fabric_instance& topo, std::uint32_t s, std::uint32_t d,
         std::uint64_t bytes, std::uint32_t fid, tcp_config cfg = {},
         std::size_t path = 0, simtime_t start = 0)
       : source(env, cfg, fid), sink(env, fid) {

@@ -62,9 +62,9 @@ struct tele_bed {
 
 // The queue laws hold at ANY instant (resident terms absorb what is still
 // inside), so they are checked without requiring the run to have drained.
-void expect_queue_conservation(const fat_tree& ft) {
+void expect_queue_conservation(const fabric_instance& fabric) {
   for (const link_level lvl : kLevels) {
-    for (const queue_base* q : ft.queues_at(lvl)) {
+    for (const queue_base* q : fabric.queues_at(lvl)) {
       ASSERT_TRUE(q->telemetry_armed())
           << "queue not armed at level " << to_string(lvl);
       const telemetry_counters c = q->telemetry();
@@ -94,8 +94,8 @@ void expect_queue_conservation(const fat_tree& ft) {
 }
 
 // Pipe law needs a drained wire; demux law holds at any instant.
-void expect_pipe_and_demux_conservation(tele_bed& tb) {
-  const telemetry_plane& plane = tb.plane();
+void expect_pipe_and_demux_conservation(fabric_instance& fabric,
+                                        const telemetry_plane& plane) {
   std::uint64_t pipe_pkts = 0;
   for (std::uint32_t slot = 0; slot < plane.n_slots(); ++slot) {
     const auto& info = plane.info(slot);
@@ -110,8 +110,8 @@ void expect_pipe_and_demux_conservation(tele_bed& tb) {
   EXPECT_GT(pipe_pkts, 0u) << "workload never touched a pipe";
 
   std::uint64_t delivered = 0;
-  for (std::uint32_t h = 0; h < tb.bed->topo->n_hosts(); ++h) {
-    flow_demux& d = tb.bed->topo->paths().demux(h);
+  for (std::uint32_t h = 0; h < fabric.n_hosts(); ++h) {
+    flow_demux& d = fabric.paths().demux(h);
     ASSERT_TRUE(d.telemetry_armed()) << "demux " << h << " not armed";
     const telemetry_counters c = d.telemetry();
     EXPECT_EQ(c.enq_pkts, c.deq_pkts + c.stale_drops) << "demux " << h;
@@ -148,10 +148,60 @@ TEST_P(telemetry_conservation, permutation_conserves_every_component) {
   tele_bed tb(7, 4, fp);
   run_permutation_workload(tb, GetParam());
   expect_queue_conservation(*tb.bed->topo);
-  expect_pipe_and_demux_conservation(tb);
+  expect_pipe_and_demux_conservation(*tb.bed->topo, tb.plane());
 }
 
 INSTANTIATE_TEST_SUITE_P(all_transports, telemetry_conservation,
+                         ::testing::Values(protocol::ndp, protocol::tcp,
+                                           protocol::dctcp, protocol::mptcp,
+                                           protocol::dcqcn, protocol::phost),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
+
+// The same laws on the paper's 8-server leaf-spine testbed (Fig 9): a 7:1
+// incast into host 0, with the plane sized from the leaf-spine blueprint and
+// the fabric instantiated over it — the micro testbeds are blueprints too,
+// so every queue, pipe and demux arms exactly as on a FatTree.
+class telemetry_leaf_spine : public ::testing::TestWithParam<protocol> {};
+
+TEST_P(telemetry_leaf_spine, incast_conserves_every_component) {
+  SKIP_WITHOUT_TELEMETRY();
+  fabric_params fp;
+  fp.proto = GetParam();
+  sim_env env(7);
+  const auto bp = fabric_blueprint::leaf_spine(4, 2, 2, gbps(10), from_us(1));
+  env.telemetry = std::make_shared<telemetry_plane>(bp->n_slots(), bp.get());
+  fabric_instance fabric(env, bp, make_queue_factory(env, fp));
+  flow_factory factory(env, fabric);
+  std::vector<flow*> flows;
+  for (std::uint32_t h = 1; h < fabric.n_hosts(); ++h) {
+    flow_options o;
+    o.bytes = 90'000;
+    o.start = static_cast<simtime_t>(env.rand_below(1000)) * kNanosecond;
+    flows.push_back(&factory.create(GetParam(), h, 0, o));
+  }
+  run_until_complete(env, flows, from_ms(500));
+  for (const flow* f : flows) ASSERT_TRUE(f->complete());
+  env.events.run_until(from_ms(600));  // drain in-flight control traffic
+
+  // 8 NICs, 8 leaf uplinks, 8 spine downlinks, 8 leaf ports; 8 demuxes.
+  std::size_t n_queues = 0;
+  std::uint64_t trims = 0;
+  for (const link_level lvl : kLevels) {
+    n_queues += fabric.queues_at(lvl).size();
+    for (const queue_base* q : fabric.queues_at(lvl)) {
+      trims += q->telemetry().trim_pkts;
+    }
+  }
+  EXPECT_EQ(n_queues, 32u);
+  ASSERT_EQ(fabric.n_hosts(), 8u);
+  expect_queue_conservation(fabric);
+  expect_pipe_and_demux_conservation(fabric, *env.telemetry);
+  if (GetParam() == protocol::ndp) EXPECT_GT(trims, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(all_transports, telemetry_leaf_spine,
                          ::testing::Values(protocol::ndp, protocol::tcp,
                                            protocol::dctcp, protocol::mptcp,
                                            protocol::dcqcn, protocol::phost),
@@ -175,7 +225,7 @@ TEST(telemetry_conservation_incast, ndp_incast_conserves_with_trims) {
   tb.env.events.run_until(from_ms(300));
 
   expect_queue_conservation(*tb.bed->topo);
-  expect_pipe_and_demux_conservation(tb);
+  expect_pipe_and_demux_conservation(*tb.bed->topo, tb.plane());
 
   // The incast must have trimmed somewhere (that's the NDP mechanism under
   // test) — and the trim counter must agree with the fabric's own stats.

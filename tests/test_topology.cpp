@@ -61,7 +61,8 @@ TEST(fat_tree, path_counts_by_locality) {
 TEST(fat_tree, interpod_route_has_six_queues) {
   sim_env env;
   fat_tree ft(env, ft_cfg(4), droptail_factory(env));
-  auto [fwd, rev] = ft.make_route_pair(0, 15, 0);
+  auto fwd = testing::fabric_route(ft, 0, 15, 0);
+  auto rev = testing::fabric_route(ft, 15, 0, 0);
   // host_up, tor_up, agg_up, core_down, agg_down, tor_down = 6 queue+pipe
   // pairs, no endpoint yet.
   EXPECT_EQ(fwd->size(), 12u);
@@ -72,7 +73,7 @@ TEST(fat_tree, interpod_route_has_six_queues) {
 TEST(fat_tree, same_tor_route_has_two_queues) {
   sim_env env;
   fat_tree ft(env, ft_cfg(4), droptail_factory(env));
-  auto [fwd, rev] = ft.make_route_pair(0, 1, 0);
+  auto fwd = testing::fabric_route(ft, 0, 1, 0);
   EXPECT_EQ(fwd->queue_hops(), 2u);
 }
 
@@ -82,7 +83,7 @@ TEST(fat_tree, distinct_paths_use_distinct_cores) {
   // Collect the core_down queue pointer (element index 6) for every path.
   std::set<const packet_sink*> cores;
   for (std::size_t p = 0; p < ft.n_paths(0, 15); ++p) {
-    auto [fwd, rev] = ft.make_route_pair(0, 15, p);
+    auto fwd = testing::fabric_route(ft, 0, 15, p);
     cores.insert(&fwd->at(6));
   }
   EXPECT_EQ(cores.size(), 4u);  // (k/2)^2 distinct cores
@@ -94,7 +95,8 @@ TEST(fat_tree, forward_and_reverse_traverse_same_switches) {
   // Deliver a packet along fwd and then along rev; both must work and end
   // at the appended endpoints.
   testing::recording_sink dst(env), src(env);
-  auto [fwd, rev] = ft.make_route_pair(2, 13, 3);
+  auto fwd = testing::fabric_route(ft, 2, 13, 3);
+  auto rev = testing::fabric_route(ft, 13, 2, 3);
   fwd->push_back(&dst);
   rev->push_back(&src);
   packet* a = testing::make_data(env, fwd.get());
@@ -112,7 +114,7 @@ TEST(fat_tree, delivery_latency_matches_store_and_forward_math) {
   cfg.link_delay = from_us(1);
   fat_tree ft(env, cfg, droptail_factory(env));
   testing::recording_sink dst(env);
-  auto [fwd, rev] = ft.make_route_pair(0, 15, 0);
+  auto fwd = testing::fabric_route(ft, 0, 15, 0);
   fwd->push_back(&dst);
   packet* p = testing::make_data(env, fwd.get(), 9000);
   send_to_next_hop(*p);
@@ -140,11 +142,27 @@ TEST(fat_tree, speed_override_degrades_one_link) {
   EXPECT_EQ(agg_up[1]->rate(), gbps(10));
 }
 
+TEST(fat_tree, host_link_speed_follows_host_up_override) {
+  // A degraded NIC must report the rate it is wired at: NDP pull pacing,
+  // pHost token pacing and DCQCN's line rate are all set from it.
+  sim_env env;
+  fat_tree_config cfg = ft_cfg(4);
+  cfg.speed_override = [](link_level level, std::size_t index,
+                          linkspeed_bps def) -> linkspeed_bps {
+    return level == link_level::host_up && index == 3 ? gbps(1) : def;
+  };
+  fat_tree ft(env, cfg, droptail_factory(env));
+  EXPECT_EQ(ft.host_link_speed(3),
+            ft.queues_at(link_level::host_up)[3]->rate());
+  EXPECT_EQ(ft.host_link_speed(3), gbps(1));
+  EXPECT_EQ(ft.host_link_speed(2), gbps(10));
+}
+
 TEST(fat_tree, aggregate_stats_sum_over_level) {
   sim_env env;
   fat_tree ft(env, ft_cfg(4), droptail_factory(env));
   testing::recording_sink dst(env);
-  auto [fwd, rev] = ft.make_route_pair(0, 15, 0);
+  auto fwd = testing::fabric_route(ft, 0, 15, 0);
   fwd->push_back(&dst);
   for (std::uint64_t i = 1; i <= 3; ++i) {
     send_to_next_hop(*testing::make_data(env, fwd.get(), 9000, i));
@@ -160,7 +178,7 @@ TEST(fat_tree, pfc_mode_inserts_ingress_elements) {
   fat_tree_config cfg = ft_cfg(4);
   cfg.pfc.enabled = true;
   fat_tree ft(env, cfg, droptail_factory(env));
-  auto [fwd, rev] = ft.make_route_pair(0, 15, 0);
+  auto fwd = testing::fabric_route(ft, 0, 15, 0);
   // 6 queue+pipe pairs + 5 pfc ingress elements (none at the final host).
   EXPECT_EQ(fwd->size(), 17u);
   // Route still delivers end to end.
@@ -205,7 +223,8 @@ TEST(fat_tree, k12_forward_and_reverse_traverse_partner_links) {
     return std::size_t{0};
   };
   for (std::size_t p = 0; p < ft.n_paths(src, dst); ++p) {
-    auto [fwd, rev] = ft.make_route_pair(src, dst, p);
+    auto fwd = testing::fabric_route(ft, src, dst, p);
+    auto rev = testing::fabric_route(ft, dst, src, p);
     // Queue positions on an inter-pod route: 0 host_up, 2 tor_up, 4 agg_up,
     // 6 core_down, 8 agg_down, 10 tor_down.
     const std::size_t f_agg_up = index_of(link_level::agg_up, &fwd->at(4));
@@ -242,7 +261,7 @@ TEST(back_to_back, single_nic_route) {
   back_to_back b2b(env, gbps(10), from_us(1), droptail_factory(env));
   EXPECT_EQ(b2b.n_hosts(), 2u);
   EXPECT_EQ(b2b.n_paths(0, 1), 1u);
-  auto [fwd, rev] = b2b.make_route_pair(0, 1, 0);
+  auto fwd = testing::fabric_route(b2b, 0, 1, 0);
   testing::recording_sink dst(env);
   fwd->push_back(&dst);
   send_to_next_hop(*testing::make_data(env, fwd.get()));
@@ -255,10 +274,10 @@ TEST(single_switch, routes_through_target_port) {
   sim_env env;
   single_switch star(env, 5, gbps(10), from_us(1), droptail_factory(env));
   EXPECT_EQ(star.n_hosts(), 5u);
-  auto [fwd, rev] = star.make_route_pair(0, 4, 0);
+  auto fwd = testing::fabric_route(star, 0, 4, 0);
   EXPECT_EQ(fwd->queue_hops(), 2u);
   // The contended port object is shared between routes to the same host.
-  auto [fwd2, rev2] = star.make_route_pair(1, 4, 0);
+  auto fwd2 = testing::fabric_route(star, 1, 4, 0);
   EXPECT_EQ(&fwd->at(2), &fwd2->at(2));
   EXPECT_EQ(&fwd->at(2), static_cast<packet_sink*>(&star.switch_port(4)));
 }
@@ -270,7 +289,7 @@ TEST(leaf_spine, paper_testbed_shape) {
   EXPECT_EQ(ls.n_hosts(), 8u);
   EXPECT_EQ(ls.n_paths(0, 2), 2u);  // via either spine
   EXPECT_EQ(ls.n_paths(0, 1), 1u);  // same leaf
-  auto [fwd, rev] = ls.make_route_pair(0, 7, 1);
+  auto fwd = testing::fabric_route(ls, 0, 7, 1);
   EXPECT_EQ(fwd->queue_hops(), 4u);
   testing::recording_sink dst(env);
   fwd->push_back(&dst);
@@ -282,7 +301,7 @@ TEST(leaf_spine, paper_testbed_shape) {
 TEST(leaf_spine, same_leaf_skips_spine) {
   sim_env env;
   leaf_spine ls(env, 4, 2, 2, gbps(10), from_us(1), droptail_factory(env));
-  auto [fwd, rev] = ls.make_route_pair(0, 1, 0);
+  auto fwd = testing::fabric_route(ls, 0, 1, 0);
   EXPECT_EQ(fwd->queue_hops(), 2u);
 }
 

@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "net/packet.h"
 #include "net/route.h"
 #include "net/sim_env.h"
+#include "topo/fabric_instance.h"
 
 namespace ndpsim::testing {
 
@@ -53,6 +55,20 @@ inline packet* make_data(sim_env& env, const route* rt,
   p->rt = rt;
   p->next_hop = 0;
   return p;
+}
+
+/// One direction of a fabric path as a standalone route: the blueprint's
+/// slot sequence resolved through the instance's sink table, without the
+/// demux terminal, so a test can append its own endpoint.
+inline std::unique_ptr<owned_route> fabric_route(const fabric_instance& f,
+                                                 std::uint32_t src,
+                                                 std::uint32_t dst,
+                                                 std::size_t path) {
+  std::vector<std::uint32_t> slots;
+  f.blueprint()->build_path(src, dst, path, slots);
+  auto r = std::make_unique<owned_route>();
+  for (const std::uint32_t s : slots) r->push_back(f.sink_table()[s]);
+  return r;
 }
 
 }  // namespace ndpsim::testing
