@@ -1,32 +1,32 @@
 // Event-core performance benchmark: tracks simulator events/sec from PR to
 // PR (written to BENCH_eventcore.json at the repo root by scripts/bench.sh).
 //
-// Three sections:
-//  1. Scheduler microbenchmark — the new indexed min-heap with cancellable
-//     handles vs an embedded replica of the pre-change scheduler (a
-//     std::priority_queue where a moved timer leaves a dead entry behind and
-//     every dead entry costs a spurious wake-up).  The workload is the
-//     simulator's dominant timer pattern: an RTO deadline pushed out on every
-//     ACK, i.e. far more reschedules than genuine expirations.
-//  2. Route-setup microbenchmark — the interned path table vs a replica of
-//     the per-flow route building it replaced (every connection privately
-//     heap-building every route pair), reporting routes/sec and resident
-//     route bytes under closed-loop flow churn.
-//  3. Flow-churn benchmark — closed-loop RPC churn with the flow recycler
-//     vs the no-recycle baseline (every completed flow kept forever, the
-//     pre-lifecycle behaviour): sustained flows/sec and resident-memory
-//     growth.
-//  4. Representative figure runs — a small NDP incast, k=4/k=16 NDP
-//     permutations, and k=8 DCQCN and pHost permutations, reporting
-//     end-to-end events/sec of the full simulator.
-//  5. Parallel sweep — the same incast at several seeds, run serially and
-//     through parallel_runner, checking bitwise-identical per-config FCT
-//     results and reporting the wall-clock ratio.
-//  6. Campaign engine — the sweep scaled to hundreds of jobs through
+// Nine sections, in run order (the JSON keeps its own key order):
+//  1. Scheduler — the indexed min-heap with cancellable handles under the
+//     simulator's dominant timer pattern (an RTO deadline pushed out on
+//     every ACK, i.e. far more reschedules than genuine expirations), and
+//     self-rescheduling tick dispatch with no cancellations.
+//  2. Flow churn — closed-loop RPC churn with the flow recycler vs the
+//     no-recycle baseline (every completed flow kept forever, the
+//     pre-lifecycle behaviour): sustained flows/sec and peak RSS.
+//  3. Campaign engine — an incast sweep scaled to hundreds of jobs through
 //     campaign_runner: jobs/sec of the streaming spill path, live RSS at
 //     half vs full campaign length (bounded-memory claim) vs the
 //     keep-every-outcome baseline, and the interrupted-resume merged
 //     result's byte-identity with the uninterrupted run's.
+//  4. Representative figure runs — a small NDP incast, k=4/k=16/k=32 NDP
+//     permutations, and k=8 DCQCN and pHost permutations, reporting
+//     end-to-end events/sec of the full simulator.
+//  5. Flat dispatch — virtual vs type-indexed flat dispatch on one seeded
+//     k=16 NDP permutation, with an identical-event-sequence check.
+//  6. Telemetry — the same k=16 run with no plane vs every slot armed plus
+//     the epoch collector.
+//  7. Packet path — alloc, WRR enqueue/dequeue, 4 forwarding hops and sink
+//     on `packet` and `packet_pool`, over a live set past L2.
+//  8. Route setup — routes/sec and resident bytes of the interned path
+//     table under closed-loop flow churn.
+//  9. Fabric setup — building the shared blueprint once vs stamping a
+//     per-env instance out of it and resolving its route set.
 //
 // `--quick` reduces repetition counts (best-of rounds) for CI smoke runs
 // while keeping every measured workload identical, so reported rates stay
@@ -34,7 +34,6 @@
 // time, not wall-clock — the simulator is single-threaded and CPU time is
 // what reproduces on shared machines.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -44,7 +43,7 @@
 #include <functional>
 #include <iterator>
 #include <memory>
-#include <queue>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -113,52 +112,7 @@ std::size_t current_rss_bytes() {
 // Section 1: scheduler microbenchmark.
 // --------------------------------------------------------------------------
 
-// Replica of the scheduler this PR replaced (a verbatim structural copy of
-// the seed's event_list), kept as the baseline so the speedup is measured
-// against the same workload in the same binary.  The old API had no
-// cancel/reschedule: the documented idiom was "schedule another event and be
-// prepared for wake-ups you no longer need", so a moved RTO leaves a dead
-// entry that still gets popped and dispatched as a spurious wake-up.
-class legacy_source {
- public:
-  virtual ~legacy_source() = default;
-  virtual void do_next_event() = 0;
-};
-
-class legacy_event_list {
- public:
-  void schedule(legacy_source& src, simtime_t when) {
-    heap_.push(entry{when, seq_++, &src});
-  }
-  [[nodiscard]] simtime_t now() const { return now_; }
-  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
-
-  void run_until(simtime_t horizon) {
-    while (!heap_.empty() && heap_.top().when <= horizon) {
-      const entry e = heap_.top();
-      heap_.pop();
-      now_ = e.when;
-      e.src->do_next_event();
-    }
-    now_ = horizon;
-  }
-
- private:
-  struct entry {
-    simtime_t when;
-    std::uint64_t seq;
-    legacy_source* src;
-    [[nodiscard]] bool operator<(const entry& o) const {
-      if (when != o.when) return when > o.when;
-      return seq > o.seq;
-    }
-  };
-  std::priority_queue<entry> heap_;
-  simtime_t now_ = 0;
-  std::uint64_t seq_ = 0;
-};
-
-/// do_next_event target for the new-scheduler microbench: counts fires.
+/// do_next_event target for the timer-churn microbench: counts fires.
 class counting_source final : public event_source {
  public:
   explicit counting_source(event_list& el) : event_source(el, "flow") {}
@@ -179,7 +133,7 @@ struct churn_params {
   simtime_t tick = from_ns(14);     ///< virtual time advanced per ACK
 };
 
-/// xorshift so both sides see the same flow sequence with zero RNG overhead.
+/// xorshift: a fixed flow sequence with zero RNG overhead.
 struct tiny_rng {
   std::uint64_t s = 0x9E3779B97F4A7C15ull;
   std::uint64_t next() {
@@ -190,7 +144,7 @@ struct tiny_rng {
   }
 };
 
-/// RTO churn on the new scheduler: one handle per flow, moved in place.
+/// RTO churn: one handle per flow, moved in place.
 double churn_new(const churn_params& p, std::uint64_t* fires_out) {
   event_list el;
   std::deque<counting_source> flows;  // deque: event_source is pinned in place
@@ -209,50 +163,6 @@ double churn_new(const churn_params& p, std::uint64_t* fires_out) {
   std::uint64_t fires = 0;
   for (const auto& f : flows) fires += f.fires;
   *fires_out = fires;
-  return dt;
-}
-
-/// The same ACK sequence on the legacy scheduler: every move pushes a fresh
-/// entry; superseded entries fire as spurious wake-ups the source must
-/// detect itself ("check your own state" — the old contract).
-double churn_legacy(const churn_params& p, std::uint64_t* fires_out,
-                    std::uint64_t* spurious_out) {
-  legacy_event_list el;
-  struct legacy_flow final : legacy_source {
-    legacy_event_list* el = nullptr;
-    std::uint64_t* spurious = nullptr;
-    simtime_t deadline = -1;
-    std::uint64_t fires = 0;
-    void do_next_event() override {
-      if (el->now() == deadline) {
-        ++fires;
-      } else {
-        ++*spurious;  // deadline moved since this entry was armed
-      }
-    }
-  };
-  std::uint64_t spurious = 0;
-  std::vector<legacy_flow> flows(p.flows);
-  for (auto& f : flows) {
-    f.el = &el;
-    f.spurious = &spurious;
-  }
-  tiny_rng rng;
-  const double c0 = cpu_seconds_now();
-  simtime_t vnow = 0;
-  for (std::uint64_t op = 0; op < p.acks; ++op) {
-    vnow += p.tick;
-    el.run_until(vnow);
-    legacy_flow& f = flows[rng.next() % p.flows];
-    f.deadline = vnow + p.rto;
-    el.schedule(f, f.deadline);
-  }
-  el.run_until(vnow + p.rto + 1);
-  const double dt = cpu_seconds_now() - c0;
-  std::uint64_t fires = 0;
-  for (const auto& f : flows) fires += f.fires;
-  *fires_out = fires;
-  *spurious_out = spurious;
   return dt;
 }
 
@@ -282,275 +192,8 @@ double ticks_new(std::size_t sources, std::uint64_t total_events) {
   return cpu_seconds_now() - c0;
 }
 
-double ticks_legacy(std::size_t sources, std::uint64_t total_events) {
-  legacy_event_list el;
-  struct tick_source final : legacy_source {
-    legacy_event_list* el = nullptr;
-    simtime_t period = 0;
-    std::uint64_t* count = nullptr;
-    void do_next_event() override {
-      ++*count;
-      el->schedule(*this, el->now() + period);
-    }
-  };
-  std::uint64_t n = 0;
-  std::vector<tick_source> srcs(sources);
-  for (std::size_t i = 0; i < sources; ++i) {
-    srcs[i].el = &el;
-    srcs[i].period = from_ns(100 + 10 * (i % 16));
-    srcs[i].count = &n;
-    el.schedule(srcs[i], from_ns(100));
-  }
-  const double c0 = cpu_seconds_now();
-  while (n < total_events) el.run_until(el.now() + from_us(1));
-  return cpu_seconds_now() - c0;
-}
-
 // --------------------------------------------------------------------------
-// Section 2: route-setup microbenchmark.
-// --------------------------------------------------------------------------
-
-struct route_setup_result {
-  double legacy_sec = 0;
-  double interned_sec = 0;
-  std::uint64_t route_pairs = 0;     ///< route pairs handed to flows (each side)
-  std::size_t legacy_bytes = 0;      ///< resident route bytes, per-flow model
-  std::size_t interned_bytes = 0;    ///< resident shared-route bytes (table)
-  [[nodiscard]] double speedup() const { return legacy_sec / interned_sec; }
-};
-
-/// Closed-loop flow churn on a k=8 FatTree permutation: `kRounds` generations
-/// of flows between the same host pairs, every flow taking the full multipath
-/// set (the default).  The legacy side replicates the seed's contract —
-/// `make_routes` heap-builds every pair privately and the connection appends
-/// its endpoints and owns the routes to the end of the run.  The interned
-/// side asks the table, which builds each (src, dst, path) once.
-route_setup_result run_route_setup() {
-  constexpr unsigned kK = 8;
-  constexpr int kRounds = 10;
-  route_setup_result res;
-
-  auto droptail = [](sim_env& env) {
-    return [&env](link_level, std::size_t, linkspeed_bps rate,
-                  const std::string& name) -> std::unique_ptr<queue_base> {
-      return std::make_unique<drop_tail_queue>(env, rate, 100 * 9000, name);
-    };
-  };
-  struct null_sink final : packet_sink {
-    void receive(packet&) override {}
-  };
-
-  {  // Legacy per-flow replica.
-    sim_env env(1);
-    fat_tree_config tc;
-    tc.k = kK;
-    fat_tree ft(env, tc, droptail(env));
-    const auto matrix = permutation_matrix(env.rng, ft.n_hosts());
-    null_sink ep;
-    std::vector<std::unique_ptr<owned_route>> keep;  // flows own to sim end
-    std::vector<std::uint32_t> seq;
-    // One private route per direction, hop by hop from the structural path.
-    auto build = [&](std::uint32_t a, std::uint32_t b, std::size_t p) {
-      ft.blueprint()->build_path(a, b, p, seq);
-      auto r = std::make_unique<owned_route>();
-      for (const std::uint32_t slot : seq) r->push_back(ft.sink_table()[slot]);
-      r->push_back(&ep);
-      return r;
-    };
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int round = 0; round < kRounds; ++round) {
-      for (std::uint32_t h = 0; h < ft.n_hosts(); ++h) {
-        const std::size_t n = ft.n_paths(h, matrix[h]);
-        for (std::size_t p = 0; p < n; ++p) {
-          auto f = build(h, matrix[h], p);
-          auto r = build(matrix[h], h, p);
-          f->set_reverse(r.get());
-          r->set_reverse(f.get());
-          keep.push_back(std::move(f));
-          keep.push_back(std::move(r));
-          ++res.route_pairs;
-        }
-      }
-    }
-    res.legacy_sec = seconds_since(t0);
-    for (const auto& r : keep) {
-      res.legacy_bytes += sizeof(owned_route) + r->size() * sizeof(packet_sink*);
-    }
-  }
-
-  {  // Interned table.
-    sim_env env(1);
-    fat_tree_config tc;
-    tc.k = kK;
-    fat_tree ft(env, tc, droptail(env));
-    const auto matrix = permutation_matrix(env.rng, ft.n_hosts());
-    std::uint64_t handed = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int round = 0; round < kRounds; ++round) {
-      for (std::uint32_t h = 0; h < ft.n_hosts(); ++h) {
-        const path_set ps = ft.paths().all(h, matrix[h]);
-        handed += ps.size();
-      }
-    }
-    res.interned_sec = seconds_since(t0);
-    res.interned_bytes = ft.paths().resident_bytes();
-    NDPSIM_ASSERT(handed == res.route_pairs);
-  }
-  return res;
-}
-
-// --------------------------------------------------------------------------
-// Section 2b: fabric-setup microbenchmark (structure/state split).
-// --------------------------------------------------------------------------
-
-struct fabric_setup_result {
-  unsigned k = 0;
-  std::size_t hosts = 0;
-  std::size_t links = 0;
-  double blueprint_sec = 0;    ///< build the shared immutable blueprint once
-  double instantiate_sec = 0;  ///< stamp one per-env instance out of it
-  double route_warm_sec = 0;   ///< resolve a permutation's route set (warm)
-  double legacy_sec = 0;       ///< pre-split from-scratch replica (see below)
-  std::size_t blueprint_bytes = 0;  ///< shared, counted once per sweep
-  std::size_t instance_bytes = 0;   ///< per env
-  std::size_t table_bytes = 0;      ///< per-env path table
-  std::size_t legacy_bytes = 0;     ///< per env under the pre-split model
-  /// The acceptance ratio: stamping one more instance out of a warm
-  /// blueprint vs standing the same fabric up from scratch pre-split.
-  [[nodiscard]] double speedup() const { return legacy_sec / instantiate_sec; }
-  /// Same, charging the instance for resolving its whole route set too.
-  [[nodiscard]] double with_routes_speedup() const {
-    return legacy_sec / (instantiate_sec + route_warm_sec);
-  }
-};
-
-/// Blueprint build vs per-env instantiation, against a replica of the
-/// pre-split from-scratch build: eagerly-formatted `std::string` names on
-/// every queue/pipe (the seed's `make_link`) plus per-route `owned_route`
-/// heap building (the seed's route model) for one permutation's route set at
-/// `max_paths` paths per pair.  The warm side runs the real code: construct
-/// a `fabric_instance` over the already-built blueprint and resolve the same
-/// route set through the interned structural table.
-fabric_setup_result run_fabric_setup(unsigned k, int rounds) {
-  constexpr std::size_t kMaxPaths = 16;
-  fabric_setup_result res;
-  res.k = k;
-  fabric_params fp;
-  fp.proto = protocol::ndp;
-
-  // The shared blueprint build (timed once; it happens once per sweep).
-  auto tbp = std::chrono::steady_clock::now();
-  auto bp = make_fat_tree_blueprint(k, fp);
-  res.blueprint_sec = seconds_since(tbp);
-  res.hosts = bp->n_hosts();
-  res.links = bp->links().size();
-
-  // A fixed pseudo-permutation partner (h -> reversed id) and path picks,
-  // shared by both sides so the workloads match.
-  const auto partner = [n = res.hosts](std::uint32_t h) {
-    return static_cast<std::uint32_t>(n - 1 - h);
-  };
-
-  for (int round = 0; round < rounds; ++round) {
-    {  // Legacy from-scratch replica.
-      sim_env env(1);
-      auto factory = make_queue_factory(env, fp);
-      std::vector<std::unique_ptr<queue_base>> queues;
-      std::vector<std::unique_ptr<pipe>> pipes;
-      std::vector<packet_sink*> sinks(bp->n_slots(), nullptr);
-      queues.reserve(res.links);
-      pipes.reserve(res.links);
-      const auto t0 = std::chrono::steady_clock::now();
-      for (const auto& l : bp->links()) {
-        // What the seed's make_link paid per link: format the name, copy it
-        // into the queue, format and copy the pipe's.
-        std::string name = bp->format_name(l.first_slot);
-        auto q = factory(l.level, l.index, l.rate, name);
-        pipes.push_back(std::make_unique<pipe>(env, l.delay, name + ".pipe"));
-        sinks[l.first_slot] = q.get();
-        sinks[l.first_slot + 1] = pipes.back().get();
-        queues.push_back(std::move(q));
-      }
-      // The pre-split route model: heap-build a scratch pair per path and
-      // copy its hops into a per-env arena (what `path_table::ensure_path`
-      // did before the blueprint existed).
-      std::vector<std::uint32_t> seq;
-      std::deque<route> arena_routes;
-      std::vector<std::unique_ptr<packet_sink*[]>> arena;
-      std::size_t arena_used = 0, arena_cap = 0, arena_hops = 0;
-      auto intern_replica = [&](const owned_route& r) {
-        const std::size_t hops = r.size() + 1;  // + demux terminal
-        if (arena_used + hops > arena_cap) {
-          arena_cap = 4096;
-          arena_used = 0;
-          arena.push_back(std::make_unique<packet_sink*[]>(arena_cap));
-        }
-        packet_sink** span = arena.back().get() + arena_used;
-        for (std::size_t i = 0; i < r.size(); ++i) span[i] = &r.at(i);
-        span[hops - 1] = span[0];  // terminal stand-in
-        arena_used += hops;
-        arena_hops += hops;
-        arena_routes.emplace_back(span, static_cast<std::uint32_t>(hops));
-      };
-      for (std::uint32_t h = 0; h < res.hosts; ++h) {
-        const std::uint32_t d = partner(h);
-        if (d == h) continue;
-        const std::size_t n = bp->n_paths(h, d);
-        for (std::size_t i = 0; i < std::min(n, kMaxPaths); ++i) {
-          const std::size_t p = (h + i) % n;
-          auto fwd = std::make_unique<owned_route>();
-          bp->build_path(h, d, p, seq);
-          for (const std::uint32_t s : seq) fwd->push_back(sinks[s]);
-          auto rev = std::make_unique<owned_route>();
-          bp->build_path(d, h, p, seq);
-          for (const std::uint32_t s : seq) rev->push_back(sinks[s]);
-          fwd->set_reverse(rev.get());
-          rev->set_reverse(fwd.get());
-          // Interned into the per-env arena; the scratch pair is then freed
-          // (exactly the pre-split ensure_path sequence).
-          intern_replica(*fwd);
-          intern_replica(*rev);
-        }
-      }
-      const double dt = seconds_since(t0);
-      if (round == 0 || dt < res.legacy_sec) res.legacy_sec = dt;
-      if (round == 0) {
-        res.legacy_bytes = arena_hops * sizeof(packet_sink*) +
-                           arena_routes.size() * sizeof(route) +
-                           res.links * sizeof(void*) * 2;
-        for (const auto& q : queues) res.legacy_bytes += q->name().size();
-      }
-    }
-
-    {  // Structure/state split: instantiate + warm route resolution.
-      sim_env env(1);
-      const auto t0 = std::chrono::steady_clock::now();
-      fat_tree ft(env, bp, make_queue_factory(env, fp));
-      const double inst = seconds_since(t0);
-      const auto t1 = std::chrono::steady_clock::now();
-      for (std::uint32_t h = 0; h < res.hosts; ++h) {
-        const std::uint32_t d = partner(h);
-        if (d == h) continue;
-        const path_set ps = ft.paths().sample(env, h, d, kMaxPaths);
-        (void)ps;
-      }
-      const double warm = seconds_since(t1);
-      if (round == 0 || inst + warm < res.instantiate_sec + res.route_warm_sec) {
-        res.instantiate_sec = inst;
-        res.route_warm_sec = warm;
-      }
-      if (round == 0) {
-        res.instance_bytes = ft.resident_bytes();
-        res.table_bytes = ft.paths().resident_bytes();
-      }
-    }
-  }
-  res.blueprint_bytes = bp->resident_bytes();
-  return res;
-}
-
-// --------------------------------------------------------------------------
-// Section 3: flow-churn benchmark (lifecycle engine vs no-recycle baseline).
+// Section 2: flow-churn benchmark (lifecycle engine vs no-recycle baseline).
 // --------------------------------------------------------------------------
 
 struct churn_phase_result {
@@ -660,41 +303,13 @@ churn_phase_result churn_baseline(const churn_workload& w) {
   return res;
 }
 
-// --------------------------------------------------------------------------
-// Sections 4 + 5: figure-level runs and the parallel sweep.
-// --------------------------------------------------------------------------
-
-struct figure_stats {
-  std::string name;
-  std::uint64_t events = 0;
-  double wall_seconds = 0;
-  double cpu_seconds = 0;   ///< events_per_sec denominator (load-immune)
-  double events_per_sec = 0;
-  std::size_t completed = 0;
-};
-
-/// Shared epilogue: events/sec over process CPU time, not wall — on a busy
-/// machine wall time counts everyone else's work and the committed-baseline
-/// comparison in CI would flag phantom regressions.
-void finish_figure(figure_stats& st, std::uint64_t events, double wall,
-                   double cpu) {
-  st.events = events;
-  st.wall_seconds = wall;
-  st.cpu_seconds = cpu;
-  st.events_per_sec =
-      cpu > 0 ? static_cast<double>(events) / cpu : 0;
-}
-
-/// The sweep body.  With `bp == nullptr` every job builds a private fabric
-/// (blueprint + instance); with a blueprint the job only stamps out its
-/// per-env instance — the structure/state split.  `fabric_bytes` (when set)
-/// accumulates the job's resident fabric memory: instance + per-env path
-/// table, plus the blueprint when it is private (a shared blueprint is
-/// counted once by the caller instead).
+/// The k=4 NDP incast behind the incast figure and every campaign job.
+/// With `bp == nullptr` it builds a private fabric (blueprint + instance);
+/// with a blueprint it only stamps out its per-env instance — the
+/// structure/state split.
 void incast_body(const experiment_config& cfg, sim_env& env,
                  fct_recorder& fcts,
-                 const std::shared_ptr<const fabric_blueprint>* bp = nullptr,
-                 std::atomic<std::size_t>* fabric_bytes = nullptr) {
+                 const std::shared_ptr<const fabric_blueprint>* bp = nullptr) {
   fabric_params fp;
   fp.proto = protocol::ndp;
   std::unique_ptr<testbed> bed;
@@ -718,16 +333,10 @@ void incast_body(const experiment_config& cfg, sim_env& env,
     fcts.flow_started(f->id, f->start_time, f->bytes);
     if (f->complete()) fcts.flow_completed(f->id, f->completion_time());
   }
-  if (fabric_bytes != nullptr) {
-    std::size_t b = bed->topo->resident_bytes() +
-                    bed->topo->paths().resident_bytes();
-    if (bp == nullptr) b += bed->topo->blueprint()->resident_bytes();
-    fabric_bytes->fetch_add(b, std::memory_order_relaxed);
-  }
 }
 
 // --------------------------------------------------------------------------
-// Section 5b: campaign engine — long sweeps in bounded memory.
+// Section 3: campaign engine — long sweeps in bounded memory.
 // --------------------------------------------------------------------------
 
 /// Return free heap pages to the kernel so a current_rss_bytes() reading
@@ -765,8 +374,8 @@ struct campaign_bench_result {
   }
 };
 
-/// The campaign engine bench: the parallel-sweep incast body scaled from 4
-/// configs to hundreds, run three ways.  (1) streaming through
+/// The campaign engine bench: the incast figure's body scaled to hundreds
+/// of configs, run three ways.  (1) streaming through
 /// campaign_runner at half and full length — the bounded-memory claim is
 /// that RSS tracks ACTIVE jobs, not campaign length, so the two runs must
 /// land at about the same live RSS; (2) the keep-everything baseline
@@ -793,7 +402,7 @@ campaign_bench_result run_campaign_bench(bool quick) {
                           fct_recorder& fcts) {
     env.telemetry =
         std::make_shared<telemetry_plane>(bp->n_slots(), bp.get());
-    incast_body(cfg, env, fcts, &bp, nullptr);
+    incast_body(cfg, env, fcts, &bp);
   };
 
   std::vector<experiment_config> grid;
@@ -871,6 +480,34 @@ campaign_bench_result run_campaign_bench(bool quick) {
   return r;
 }
 
+// --------------------------------------------------------------------------
+// Section 4: figure-level runs.
+// --------------------------------------------------------------------------
+
+struct figure_stats {
+  std::string name;
+  std::uint64_t events = 0;
+  double wall_seconds = 0;
+  double cpu_seconds = 0;   ///< events_per_sec denominator (load-immune)
+  double events_per_sec = 0;
+  std::size_t completed = 0;
+  /// Set only by goodput-window figures: their flows are unbounded and
+  /// never complete, so mean goodput over the window is the work measure.
+  std::optional<double> mean_gbps;
+};
+
+/// Shared epilogue: events/sec over process CPU time, not wall — on a busy
+/// machine wall time counts everyone else's work and the committed-baseline
+/// comparison in CI would flag phantom regressions.
+void finish_figure(figure_stats& st, std::uint64_t events, double wall,
+                   double cpu) {
+  st.events = events;
+  st.wall_seconds = wall;
+  st.cpu_seconds = cpu;
+  st.events_per_sec =
+      cpu > 0 ? static_cast<double>(events) / cpu : 0;
+}
+
 figure_stats run_incast_figure() {
   figure_stats st;
   st.name = "incast_ndp_k4_15to1";
@@ -897,10 +534,9 @@ figure_stats run_permutation_figure() {
   flow_options o;
   const auto res = run_permutation(*bed, protocol::ndp, o, from_ms(1),
                                    from_ms(4));
-  (void)res;
   finish_figure(st, bed->env.events.events_processed(), seconds_since(t0),
                 cpu_seconds_now() - c0);
-  st.completed = bed->topo->n_hosts();
+  st.mean_gbps = res.mean_gbps;
   return st;
 }
 
@@ -918,10 +554,9 @@ figure_stats run_permutation_k16_figure() {
   flow_options o;
   const auto res = run_permutation(*bed, protocol::ndp, o, from_ms(0.5),
                                    from_ms(1.5));
-  (void)res;
   finish_figure(st, bed->env.events.events_processed(), seconds_since(t0),
                 cpu_seconds_now() - c0);
-  st.completed = bed->topo->n_hosts();
+  st.mean_gbps = res.mean_gbps;
   std::printf("  k16: %zu interned paths, %.1f MB shared route state\n",
               bed->topo->paths().interned_paths(),
               static_cast<double>(bed->topo->paths().resident_bytes()) / 1e6);
@@ -945,10 +580,9 @@ figure_stats run_permutation_k32_figure() {
   flow_options o;
   const auto res = run_permutation(*bed, protocol::ndp, o, from_us(150),
                                    from_us(350));
-  (void)res;
   finish_figure(st, bed->env.events.events_processed(), seconds_since(t0),
                 cpu_seconds_now() - c0);
-  st.completed = bed->topo->n_hosts();
+  st.mean_gbps = res.mean_gbps;
   std::printf("  k32: %zu hosts, %zu interned paths, %.1f MB shared "
               "structure, %.1f MB per-env table\n",
               bed->topo->n_hosts(), bed->topo->paths().interned_paths(),
@@ -964,7 +598,7 @@ figure_stats run_permutation_k32_figure() {
 /// completion, mirroring the pHost figure — the earlier goodput-window
 /// variant used unbounded flows, so `flows_completed` was structurally zero
 /// and the figure could silently degenerate into measuring nothing (caught
-/// by `require_completions` now).
+/// by the zero-work check in main now).
 figure_stats run_permutation_dcqcn_k8() {
   figure_stats st;
   st.name = "permutation_dcqcn_k8";
@@ -1016,19 +650,73 @@ figure_stats run_phost_k8() {
 }
 
 // --------------------------------------------------------------------------
-// Section 4b: flat-dispatch microbenchmark — the same seeded k=16 NDP
-// permutation run twice, once with type-indexed flat dispatch disabled
-// (every event goes through the per-candidate virtual path) and once with
-// it enabled (pipe expiries and queue service completions batch through
-// their registered flat handlers).  The ordering contract says the two
-// modes must dispatch the exact same event sequence, so the event counts
-// must match bitwise; the FCT-level identity is asserted by the
-// flat_dispatch ctest — here the counts gate catches gross divergence and
-// the timings quantify what devirtualization is worth on a real fabric.
-// k=16 (1024 hosts), not k=8: flat dispatch pays off through run length
-// (events per handler call), and runs only get long once thousands of
-// pipes/queues share lanes — a k=8 fabric averages ~1.4 events/run, which
-// measures the batching overhead rather than the batching.
+// Sections 5 and 6 time one seeded k=16 NDP permutation (seed 7, 100us
+// warmup + 300us measured) in different modes; both build it here, so the
+// mode is the only difference between any two of their timings.  k=16
+// (1024 hosts), not k=8: flat dispatch pays off through run length (events
+// per handler call), and runs only get long once thousands of pipes/queues
+// share lanes — a k=8 fabric averages ~1.4 events/run, which measures the
+// batching overhead rather than the batching.
+// --------------------------------------------------------------------------
+
+struct k16_permutation_run {
+  std::uint64_t events = 0;  ///< collector's own firings already excluded
+  double cpu_sec = 0;
+  event_list::dispatch_counters stats;
+  std::uint64_t epochs = 0;  ///< collector snapshots (telemetry only)
+  std::uint64_t armed = 0;   ///< armed telemetry slots (telemetry only)
+};
+
+k16_permutation_run run_k16_permutation(bool flat, bool telemetry) {
+  fabric_params fp;
+  fp.proto = protocol::ndp;
+  sim_env env(7);
+  auto bp = make_fat_tree_blueprint(16, fp);
+  if (telemetry) {
+    env.telemetry = std::make_shared<telemetry_plane>(bp->n_slots(), bp.get());
+  }
+  testbed bed(env, bp, fp);
+  env.events.set_flat_dispatch(flat);
+  std::unique_ptr<telemetry_collector> col;
+  if (telemetry) {
+    // 20us epochs sample the ~400us run ~20 times — dense enough to be a
+    // real collector workload without snapshot copies dominating the
+    // measured overhead (each epoch copies the full counter plane).
+    col = std::make_unique<telemetry_collector>(env.events, *env.telemetry,
+                                                from_us(20));
+    col->start();
+  }
+  flow_options o;
+  const double c0 = cpu_seconds_now();
+  const auto res =
+      run_permutation(bed, protocol::ndp, o, from_us(100), from_us(300));
+  (void)res;
+  k16_permutation_run out;
+  out.cpu_sec = cpu_seconds_now() - c0;
+  out.events = env.events.events_processed();
+  out.stats = env.events.dispatch_stats();
+  if (col != nullptr) {
+    out.epochs = col->recorded_epochs();
+    // Every snapshot after the t=0 baseline was a timer event; subtracting
+    // them makes the off-vs-on identity check exact.
+    out.events -= col->recorded_epochs() - 1;
+    for (std::uint32_t s = 0; s < env.telemetry->n_slots(); ++s) {
+      if (env.telemetry->info(s).armed) ++out.armed;
+    }
+  }
+  return out;
+}
+
+// --------------------------------------------------------------------------
+// Section 5: flat-dispatch microbenchmark — the k=16 run twice, once with
+// type-indexed flat dispatch disabled (every event goes through the
+// per-candidate virtual path) and once with it enabled (pipe expiries and
+// queue service completions batch through their registered flat handlers).
+// The ordering contract says the two modes must dispatch the exact same
+// event sequence, so the event counts must match bitwise; the FCT-level
+// identity is asserted by the flat_dispatch ctest — here the counts gate
+// catches gross divergence and the timings quantify what devirtualization
+// is worth on a real fabric.
 // --------------------------------------------------------------------------
 
 struct flat_dispatch_result {
@@ -1048,39 +736,16 @@ struct flat_dispatch_result {
 };
 
 flat_dispatch_result run_flat_dispatch_bench(bool quick) {
-  struct mode_out {
-    std::uint64_t events = 0;
-    double cpu_sec = 0;
-    event_list::dispatch_counters stats;
-  };
-  auto run_mode = [](bool flat) {
-    fabric_params fp;
-    fp.proto = protocol::ndp;
-    auto bed = make_fat_tree_testbed(7, 16, fp);
-    bed->env.events.set_flat_dispatch(flat);
-    flow_options o;
-    const double c0 = cpu_seconds_now();
-    const auto res = run_permutation(*bed, protocol::ndp, o, from_us(100),
-                                     from_us(300));
-    (void)res;
-    mode_out out;
-    out.cpu_sec = cpu_seconds_now() - c0;
-    out.events = bed->env.events.events_processed();
-    out.stats = bed->env.events.dispatch_stats();
-    return out;
-  };
   flat_dispatch_result r;
-  mode_out v = run_mode(false);
-  mode_out fl = run_mode(true);
+  k16_permutation_run v = run_k16_permutation(false, false);
+  k16_permutation_run fl = run_k16_permutation(true, false);
   // Enough rounds that quick-mode candidates converge near the committed
   // full-run min: the CI regression gate divides this section's rate by the
   // committed one, and a best-of-2 quick reading sits 15-25% above the
   // best-of-5 floor often enough to flake a 20% tolerance.
   for (int round = 1; round < (quick ? 4 : 5); ++round) {
-    const mode_out v2 = run_mode(false);
-    const mode_out f2 = run_mode(true);
-    if (v2.cpu_sec < v.cpu_sec) v.cpu_sec = v2.cpu_sec;
-    if (f2.cpu_sec < fl.cpu_sec) fl.cpu_sec = f2.cpu_sec;
+    v.cpu_sec = std::min(v.cpu_sec, run_k16_permutation(false, false).cpu_sec);
+    fl.cpu_sec = std::min(fl.cpu_sec, run_k16_permutation(true, false).cpu_sec);
   }
   r.events = fl.events;
   r.virtual_sec = v.cpu_sec;
@@ -1093,18 +758,16 @@ flat_dispatch_result run_flat_dispatch_bench(bool quick) {
 }
 
 // --------------------------------------------------------------------------
-// Section 4d: telemetry overhead — section 4b's seeded k=16 NDP permutation
-// (flat dispatch on, the production configuration) run twice: with no
-// telemetry plane on the env (every component's `tele_` stays null — the
-// "one never-taken branch per site" tier, which must be within noise of a
-// build without the hooks) and with every slot armed plus the epoch
-// collector sampling at 20us (the "one indexed increment per counted event"
-// tier, gated at <=10% end-to-end).  Telemetry is observational-only, so
-// the two modes must process the identical transport event sequence — the
-// collector's own timer firings are the one legitimate count difference and
-// are subtracted before the identity check; any other divergence is FATAL.
-// Both modes build through the shared-blueprint testbed so the *only*
-// difference between them is the plane.
+// Section 6: telemetry overhead — the k=16 run (flat dispatch on, the
+// production configuration) twice: with no telemetry plane on the env
+// (every component's `tele_` stays null — the "one never-taken branch per
+// site" tier, which must be within noise of a build without the hooks) and
+// with every slot armed plus the epoch collector sampling at 20us (the "one
+// indexed increment per counted event" tier, gated at <=10% end-to-end).
+// Telemetry is observational-only, so the two modes must process the
+// identical transport event sequence — the collector's own timer firings
+// are the one legitimate count difference and are subtracted before the
+// identity check; any other divergence is FATAL.
 // --------------------------------------------------------------------------
 
 struct telemetry_bench_result {
@@ -1118,63 +781,17 @@ struct telemetry_bench_result {
 };
 
 telemetry_bench_result run_telemetry_bench(bool quick) {
-  struct mode_out {
-    std::uint64_t events = 0;  ///< collector's own firings already excluded
-    double cpu_sec = 0;
-    std::uint64_t epochs = 0;
-    std::uint64_t armed = 0;
-  };
-  auto run_mode = [](bool telemetry) {
-    fabric_params fp;
-    fp.proto = protocol::ndp;
-    sim_env env(7);
-    auto bp = make_fat_tree_blueprint(16, fp);
-    if (telemetry) {
-      env.telemetry =
-          std::make_shared<telemetry_plane>(bp->n_slots(), bp.get());
-    }
-    testbed bed(env, bp, fp);
-    bed.env.events.set_flat_dispatch(true);
-    std::unique_ptr<telemetry_collector> col;
-    if (telemetry) {
-      // 20us epochs sample the ~400us run ~20 times — dense enough to be a
-      // real collector workload without snapshot copies dominating the
-      // measured overhead (each epoch copies the full counter plane).
-      col = std::make_unique<telemetry_collector>(env.events, *env.telemetry,
-                                                  from_us(20));
-      col->start();
-    }
-    flow_options o;
-    const double c0 = cpu_seconds_now();
-    const auto res =
-        run_permutation(bed, protocol::ndp, o, from_us(100), from_us(300));
-    (void)res;
-    mode_out out;
-    out.cpu_sec = cpu_seconds_now() - c0;
-    out.events = env.events.events_processed();
-    if (col != nullptr) {
-      out.epochs = col->recorded_epochs();
-      // Every snapshot after the t=0 baseline was a timer event; subtracting
-      // them makes the off-vs-on identity check exact.
-      out.events -= col->recorded_epochs() - 1;
-      for (std::uint32_t s = 0; s < env.telemetry->n_slots(); ++s) {
-        if (env.telemetry->info(s).armed) ++out.armed;
-      }
-    }
-    return out;
-  };
   // More best-of rounds than the other sections: the overhead gate divides
   // two ~0.3s timings, so a single slow round on a shared machine shows up
   // as percentage points of fake overhead.  The min converges slowly — an
   // isolated best-of-8 measures ~5% where best-of-3 reads 11-14% on an idle
   // machine — so even the quick tier gets 5 interleaved rounds.
-  mode_out off = run_mode(false);
-  mode_out on = run_mode(true);
+  k16_permutation_run off = run_k16_permutation(true, false);
+  k16_permutation_run on = run_k16_permutation(true, true);
   for (int round = 1; round < (quick ? 5 : 8); ++round) {
-    const mode_out o2 = run_mode(false);
-    const mode_out n2 = run_mode(true);
-    if (o2.cpu_sec < off.cpu_sec) off.cpu_sec = o2.cpu_sec;
-    if (n2.cpu_sec < on.cpu_sec) on.cpu_sec = n2.cpu_sec;
+    off.cpu_sec =
+        std::min(off.cpu_sec, run_k16_permutation(true, false).cpu_sec);
+    on.cpu_sec = std::min(on.cpu_sec, run_k16_permutation(true, true).cpu_sec);
   }
   telemetry_bench_result r;
   r.events = off.events;
@@ -1187,113 +804,45 @@ telemetry_bench_result run_telemetry_bench(bool quick) {
 }
 
 // --------------------------------------------------------------------------
-// Section 4c: packet-path microbenchmark (hot-header layout + slab pool).
+// Section 7: packet-path microbenchmark (hot/cold layout + slab pool).
 // --------------------------------------------------------------------------
 //
 // Replays the per-event packet path in isolation — alloc, enqueue at a WRR
 // port, dequeue (the front packet's size read), a 4-hop forwarding chain
 // (host -> ToR -> agg -> core, the per-hop touches a fat-tree path makes),
 // sink receive, release — over a live set large enough to fall out of L2,
-// against two packet memory models:
-//   legacy: the seed's field order (the per-hop fields rt / next_hop /
-//           enqueue_time sit past the first cache line, no alignment) and
-//           its LIFO pointer free list, which after churn hands out
-//           packets in near-random address order.
-//   new:    the hot/cold split `packet` (per-hop fields in the first line,
-//           64-byte aligned) and the slab-backed LIFO index `packet_pool`.
-// The driver is one template instantiated for both models, so the reported
-// ratio isolates struct layout + pool from everything else.
+// on the simulator's own `packet` (per-hop fields in the first cache line,
+// 64-byte aligned) and slab-backed LIFO index `packet_pool`.
 
 namespace packet_path {
-
-/// Field-for-field replica of the seed's packet layout (natural alignment,
-/// per-hop fields on the second cache line).
-struct legacy_packet {
-  packet_type type = packet_type::ndp_data;
-  std::uint16_t flags = 0;
-  std::uint8_t priority = 0;
-  std::uint32_t flow_id = 0;
-  std::uint32_t src = 0;
-  std::uint32_t dst = 0;
-  std::uint32_t size_bytes = 0;
-  std::uint32_t payload_bytes = 0;
-  std::uint64_t seqno = 0;
-  std::uint64_t ackno = 0;
-  std::uint64_t pullno = 0;
-  std::uint64_t data_seq = 0;
-  std::uint16_t path_id = 0;
-  const void* rt = nullptr;
-  const void* reverse_rt = nullptr;
-  std::uint32_t next_hop = 0;
-  simtime_t first_sent = 0;
-  simtime_t enqueue_time = 0;
-  void* ingress = nullptr;
-  bool in_pool = false;
-};
-
-/// The seed's pool policy: slab-backed storage, LIFO pointer free list.
-class legacy_pool {
- public:
-  [[nodiscard]] legacy_packet* alloc() {
-    if (free_.empty()) grow();
-    legacy_packet* p = free_.back();
-    free_.pop_back();
-    *p = legacy_packet{};
-    return p;
-  }
-  void release(legacy_packet* p) { free_.push_back(p); }
-
- private:
-  static constexpr std::size_t kBlock = 1024;
-  void grow() {
-    auto& block =
-        blocks_.emplace_back(std::make_unique<legacy_packet[]>(kBlock));
-    for (std::size_t i = 0; i < kBlock; ++i) free_.push_back(&block[i]);
-  }
-  std::vector<std::unique_ptr<legacy_packet[]>> blocks_;
-  std::vector<legacy_packet*> free_;
-};
-
-/// Adapter giving the real pool the same 2-call surface.
-class new_pool {
- public:
-  [[nodiscard]] packet* alloc() { return pool_.alloc(); }
-  void release(packet* p) { pool_.release(p); }
-
- private:
-  packet_pool pool_;
-};
 
 struct packet_path_result {
   std::uint64_t ops = 0;
   std::size_t live_packets = 0;
-  double legacy_sec = 0;
-  double new_sec = 0;
-  [[nodiscard]] double speedup() const { return legacy_sec / new_sec; }
+  double cpu_sec = 0;  ///< best-of cpu seconds for `ops`
 };
 
 /// One op = dequeue at a WRR port, advance one hop; a packet that has done
 /// all `kForwardHops` hops is sunk (read the delivery fields, write an ack
 /// field) and replaced by a freshly allocated one, keeping the live set
 /// constant.  Four forwarding hops per delivery mirrors a fat-tree path
-/// (host/ToR/agg/core queues) — the per-hop touch is where the hot/cold
-/// layouts differ, the sink touch is where they do the same work.
+/// (host/ToR/agg/core queues): the per-hop touch stays on the packet's hot
+/// line, the sink touch reaches its cold fields.
 /// Releases go through a deferred FIFO buffer, as in the simulator where a
 /// packet dies at the receiver long after younger packets were allocated —
-/// this is what ages the legacy LIFO free list into random address order.
-template <typename P, typename Pool>
-double drive(Pool& pool, std::uint64_t ops, std::size_t live,
+/// this is what ages the LIFO free list away from address order.
+double drive(packet_pool& pool, std::uint64_t ops, std::size_t live,
              std::uint64_t* checksum) {
   constexpr std::size_t kPorts = 256;  // power of two
   constexpr std::size_t kDefer = 4096;
   constexpr std::uint32_t kForwardHops = 4;  // fat-tree path depth
   struct port {
-    ring_fifo<P*> data;
-    ring_fifo<P*> hdr;
+    ring_fifo<packet*> data;
+    ring_fifo<packet*> hdr;
     unsigned hdrs_since_data = 0;
   };
   std::vector<port> ports(kPorts);
-  std::vector<P*> defer;
+  std::vector<packet*> defer;
   defer.reserve(kDefer);
   std::uint64_t rng = 0x9E3779B97F4A7C15ull;
   auto next_rand = [&rng] {
@@ -1303,7 +852,7 @@ double drive(Pool& pool, std::uint64_t ops, std::size_t live,
     return rng;
   };
   auto fill_and_enqueue = [&](std::uint64_t seq) {
-    P* p = pool.alloc();
+    packet* p = pool.alloc();
     const bool header = (seq % 10) == 0;
     p->type = header ? packet_type::ndp_ack : packet_type::ndp_data;
     p->seqno = seq;
@@ -1323,9 +872,9 @@ double drive(Pool& pool, std::uint64_t ops, std::size_t live,
   for (std::uint64_t op = 0; op < ops; ++op) {
     // WRR dequeue (10:1 headers over data, the ndp_queue discipline),
     // probing from a random port — the front packet read is the cache miss
-    // the layouts differ on.
+    // the layout is built around.
     std::size_t pi = next_rand() & (kPorts - 1);
-    P* p = nullptr;
+    packet* p = nullptr;
     for (std::size_t probe = 0; probe < kPorts; ++probe, pi = (pi + 1) & (kPorts - 1)) {
       port& pt = ports[pi];
       const bool have_data = !pt.data.empty();
@@ -1358,7 +907,7 @@ double drive(Pool& pool, std::uint64_t ops, std::size_t live,
     p->ackno = p->seqno;  // cold-line write, as the sink's ACK build does
     defer.push_back(p);
     if (defer.size() == kDefer) {
-      for (P* d : defer) pool.release(d);
+      for (packet* d : defer) pool.release(d);
       defer.clear();
     }
     fill_and_enqueue(++seq);
@@ -1373,60 +922,131 @@ packet_path_result run_packet_path(bool quick) {
   r.live_packets = 1 << 16;  // 64k live packets: ~8 MB, past L2
   r.ops = quick ? 4'000'000 : 20'000'000;
   // Warm pass, then measure against the SAME pool: the warm pass faults the
-  // slab pages in and — the point of the comparison — ages the free list
-  // into the state each pool sustains under churn.  Interleaved best-of
-  // rounds: each side is a single ~0.7s timing, so one external load blip
-  // lands on one side only and fabricates a 20-30% "speedup" swing either
-  // way.
-  r.legacy_sec = 1e9;
-  r.new_sec = 1e9;
+  // slab pages in and ages the free list into the state it sustains under
+  // churn.  Best-of rounds: each round is a single ~1s timing in full runs,
+  // so one external load blip would otherwise land in the gated rate.
+  r.cpu_sec = 1e9;
+  std::uint64_t first_sum = 0;
   for (int round = 0; round < (quick ? 2 : 3); ++round) {
-    std::uint64_t sum_legacy = 0;
-    std::uint64_t sum_new = 0;
-    {
-      legacy_pool pool;
-      std::uint64_t warm_sum = 0;
-      (void)drive<legacy_packet>(pool, r.ops / 8, r.live_packets, &warm_sum);
-      r.legacy_sec = std::min(
-          r.legacy_sec,
-          drive<legacy_packet>(pool, r.ops, r.live_packets, &sum_legacy));
-    }
-    {
-      new_pool pool;
-      std::uint64_t warm_sum = 0;
-      (void)drive<packet>(pool, r.ops / 8, r.live_packets, &warm_sum);
-      r.new_sec =
-          std::min(r.new_sec, drive<packet>(pool, r.ops, r.live_packets, &sum_new));
-    }
-    // Same rng stream, same sizes: both drivers must have done identical work.
-    NDPSIM_ASSERT_MSG(sum_legacy == sum_new,
-                      "packet_path drivers diverged — bench bug");
+    std::uint64_t sum = 0;
+    packet_pool pool;
+    std::uint64_t warm_sum = 0;
+    (void)drive(pool, r.ops / 8, r.live_packets, &warm_sum);
+    r.cpu_sec = std::min(r.cpu_sec, drive(pool, r.ops, r.live_packets, &sum));
+    // Same rng stream, same sizes: every round must do identical work.
+    if (round == 0) first_sum = sum;
+    NDPSIM_ASSERT_MSG(sum == first_sum,
+                      "packet_path rounds diverged — bench bug");
   }
   return r;
 }
 
 }  // namespace packet_path
 
-/// Exact (bitwise) comparison of two sweeps' per-config FCT records.
-bool outcomes_identical(const std::vector<experiment_outcome>& a,
-                        const std::vector<experiment_outcome>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto& ra = a[i].fcts.records();
-    const auto& rb = b[i].fcts.records();
-    if (ra.size() != rb.size()) return false;
-    for (std::size_t j = 0; j < ra.size(); ++j) {
-      if (ra[j].flow_id != rb[j].flow_id || ra[j].start != rb[j].start ||
-          ra[j].end != rb[j].end || ra[j].bytes != rb[j].bytes) {
-        return false;
-      }
-    }
-    if (a[i].events_processed != b[i].events_processed ||
-        a[i].sim_end != b[i].sim_end) {
-      return false;
+// --------------------------------------------------------------------------
+// Section 8: route-setup microbenchmark.
+// --------------------------------------------------------------------------
+
+struct route_setup_result {
+  double interned_sec = 0;
+  std::uint64_t route_pairs = 0;     ///< route pairs handed to flows
+  std::size_t interned_bytes = 0;    ///< resident shared-route bytes (table)
+};
+
+/// Closed-loop flow churn on a k=8 FatTree permutation: `kRounds` generations
+/// of flows between the same host pairs, every flow taking the full multipath
+/// set (the default).  The interned table builds each (src, dst, path) once
+/// and hands every later generation the same routes.
+route_setup_result run_route_setup() {
+  constexpr unsigned kK = 8;
+  constexpr int kRounds = 10;
+  route_setup_result res;
+
+  sim_env env(1);
+  fat_tree_config tc;
+  tc.k = kK;
+  fat_tree ft(env, tc,
+              [&env](link_level, std::size_t, linkspeed_bps rate,
+                     const std::string& name) -> std::unique_ptr<queue_base> {
+                return std::make_unique<drop_tail_queue>(env, rate, 100 * 9000,
+                                                         name);
+              });
+  const auto matrix = permutation_matrix(env.rng, ft.n_hosts());
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::uint32_t h = 0; h < ft.n_hosts(); ++h) {
+      const path_set ps = ft.paths().all(h, matrix[h]);
+      res.route_pairs += ps.size();
     }
   }
-  return true;
+  res.interned_sec = seconds_since(t0);
+  res.interned_bytes = ft.paths().resident_bytes();
+  return res;
+}
+
+// --------------------------------------------------------------------------
+// Section 9: fabric-setup microbenchmark (structure/state split).
+// --------------------------------------------------------------------------
+
+struct fabric_setup_result {
+  unsigned k = 0;
+  std::size_t hosts = 0;
+  std::size_t links = 0;
+  double blueprint_sec = 0;    ///< build the shared immutable blueprint once
+  double instantiate_sec = 0;  ///< stamp one per-env instance out of it
+  double route_warm_sec = 0;   ///< resolve a permutation's route set (warm)
+  std::size_t blueprint_bytes = 0;  ///< shared, counted once per sweep
+  std::size_t instance_bytes = 0;   ///< per env
+  std::size_t table_bytes = 0;      ///< per-env path table
+};
+
+/// Blueprint build vs per-env instantiation: build the shared blueprint
+/// once, then per round construct a `fabric_instance` over it and resolve
+/// one permutation's route set at `kMaxPaths` paths per pair through the
+/// interned structural table.
+fabric_setup_result run_fabric_setup(unsigned k, int rounds) {
+  constexpr std::size_t kMaxPaths = 16;
+  fabric_setup_result res;
+  res.k = k;
+  fabric_params fp;
+  fp.proto = protocol::ndp;
+
+  // The shared blueprint build (timed once; it happens once per sweep).
+  auto tbp = std::chrono::steady_clock::now();
+  auto bp = make_fat_tree_blueprint(k, fp);
+  res.blueprint_sec = seconds_since(tbp);
+  res.hosts = bp->n_hosts();
+  res.links = bp->links().size();
+
+  // A fixed pseudo-permutation partner (h -> reversed id).
+  const auto partner = [n = res.hosts](std::uint32_t h) {
+    return static_cast<std::uint32_t>(n - 1 - h);
+  };
+
+  for (int round = 0; round < rounds; ++round) {
+    sim_env env(1);
+    const auto t0 = std::chrono::steady_clock::now();
+    fat_tree ft(env, bp, make_queue_factory(env, fp));
+    const double inst = seconds_since(t0);
+    const auto t1 = std::chrono::steady_clock::now();
+    for (std::uint32_t h = 0; h < res.hosts; ++h) {
+      const std::uint32_t d = partner(h);
+      if (d == h) continue;
+      const path_set ps = ft.paths().sample(env, h, d, kMaxPaths);
+      (void)ps;
+    }
+    const double warm = seconds_since(t1);
+    if (round == 0 || inst + warm < res.instantiate_sec + res.route_warm_sec) {
+      res.instantiate_sec = inst;
+      res.route_warm_sec = warm;
+    }
+    if (round == 0) {
+      res.instance_bytes = ft.resident_bytes();
+      res.table_bytes = ft.paths().resident_bytes();
+    }
+  }
+  res.blueprint_bytes = bp->resident_bytes();
+  return res;
 }
 
 }  // namespace
@@ -1451,58 +1071,35 @@ int main(int argc, char** argv) {
   // with full runs (the property the CI smoke check relies on).
   churn_params cp;
   std::uint64_t new_fires = 0;
-  std::uint64_t legacy_fires = 0;
-  std::uint64_t legacy_spurious = 0;
   // Warm, then measure (one warm round is enough at these sizes).
   {
     churn_params warm = cp;
     warm.acks = 100'000;
     std::uint64_t tmp = 0;
     (void)churn_new(warm, &tmp);
-    (void)churn_legacy(warm, &tmp, &legacy_spurious);
   }
-  // Interleaved best-of-2 for the same reason as the tick section below:
-  // single ~0.1s timings under a CI rate gate.
+  // Best-of-2 for the same reason as the tick section below: single ~0.1s
+  // timings under a CI rate gate.
   double t_new = churn_new(cp, &new_fires);
-  double t_legacy = churn_legacy(cp, &legacy_fires, &legacy_spurious);
   t_new = std::min(t_new, churn_new(cp, &new_fires));
-  t_legacy = std::min(t_legacy, churn_legacy(cp, &legacy_fires, &legacy_spurious));
   const double churn_new_ops = static_cast<double>(cp.acks) / t_new;
-  const double churn_legacy_ops = static_cast<double>(cp.acks) / t_legacy;
   std::printf("timer churn (%zu flows, %llu acks):\n", cp.flows,
               static_cast<unsigned long long>(cp.acks));
-  std::printf("  new    : %.2fs  %.1fM timer-ops/s  (%llu genuine fires)\n",
-              t_new, churn_new_ops / 1e6,
-              static_cast<unsigned long long>(new_fires));
-  std::printf(
-      "  legacy : %.2fs  %.1fM timer-ops/s  (%llu genuine, %llu spurious)\n",
-      t_legacy, churn_legacy_ops / 1e6,
-      static_cast<unsigned long long>(legacy_fires),
-      static_cast<unsigned long long>(legacy_spurious));
-  std::printf("  speedup: %.2fx\n\n", t_legacy / t_new);
+  std::printf("  %.2fs  %.1fM timer-ops/s  (%llu genuine fires)\n\n", t_new,
+              churn_new_ops / 1e6, static_cast<unsigned long long>(new_fires));
 
-  // Interleaved best-of: each side is a single ~0.5s timing, and the CI
-  // regression gate compares this rate against the committed baseline's, so
-  // a one-off load blip on either side flakes the 20% tolerance.
+  // Best-of-2: each run is a single ~0.5s timing, and the CI regression
+  // gate compares this rate against the committed baseline's, so a one-off
+  // load blip flakes the 20% tolerance.
   const std::uint64_t tick_events = 4'000'000;
-  double tick_new_s = ticks_new(4096, tick_events);
-  double tick_legacy_s = ticks_legacy(4096, tick_events);
-  for (int round = 1; round < 2; ++round) {
-    tick_new_s = std::min(tick_new_s, ticks_new(4096, tick_events));
-    tick_legacy_s = std::min(tick_legacy_s, ticks_legacy(4096, tick_events));
-  }
+  const double tick_new_s =
+      std::min(ticks_new(4096, tick_events), ticks_new(4096, tick_events));
   const double tick_new_eps = static_cast<double>(tick_events) / tick_new_s;
-  const double tick_legacy_eps =
-      static_cast<double>(tick_events) / tick_legacy_s;
   std::printf("tick dispatch (4096 sources, %lluM events):\n",
               static_cast<unsigned long long>(tick_events / 1'000'000));
-  std::printf("  new    : %.2fs  %.1fM events/s\n", tick_new_s,
-              tick_new_eps / 1e6);
-  std::printf("  legacy : %.2fs  %.1fM events/s\n", tick_legacy_s,
-              tick_legacy_eps / 1e6);
-  std::printf("  speedup: %.2fx\n\n", tick_legacy_s / tick_new_s);
+  std::printf("  %.2fs  %.1fM events/s\n\n", tick_new_s, tick_new_eps / 1e6);
 
-  // ---- Section 3: flow-churn benchmark.  The recycling phase runs FIRST:
+  // ---- Section 2: flow-churn benchmark.  The recycling phase runs FIRST:
   // process RSS only ever grows, so the ordering makes "recycling's RSS
   // high-water < baseline's" a conservative comparison (the baseline starts
   // from the recycler's peak and still has to climb past it).  A discarded
@@ -1549,7 +1146,7 @@ int main(int argc, char** argv) {
       static_cast<double>(cb.rss_growth) / 1e6,
       static_cast<double>(cb.rss_after) / 1e6);
 
-  // ---- Section 5b: campaign engine (streaming vs keep-all RSS, resume
+  // ---- Section 3: campaign engine (streaming vs keep-all RSS, resume
   // identity).  Runs AFTER the flow-churn section, whose recycling-vs-
   // baseline RSS comparison our keep-all phase would otherwise poison, and
   // BEFORE the figure runs: the campaign RSS gates compare live-heap
@@ -1589,13 +1186,12 @@ int main(int argc, char** argv) {
   // ---- Section 4: representative figure runs.  Not scaled down in quick
   // mode (each is seconds at worst): identical workloads are what keeps
   // quick-run events/sec comparable with the committed full-run values.
-  // Runs BEFORE the route-setup and fabric-setup microbenches (emitted in
-  // JSON order regardless): those sections allocate and free hundreds of
-  // megabytes of short-lived fabric replicas, and the resulting heap
-  // fragmentation costs the big figure runs ~10% events/sec — the k=32
-  // figure is the gated headline number, so it gets the clean heap.  Still
-  // AFTER the flow-churn section, whose recycling-vs-baseline RSS peak
-  // comparison the k=32 figure's ~300 MB high-water would poison.
+  // Runs BEFORE the route-setup and fabric-setup sections (emitted in JSON
+  // order regardless): those build and free whole fabrics, k=32 included
+  // in full runs, and the k=32 figure is the gated headline number, so it
+  // gets the clean heap.  Still AFTER the flow-churn section, whose
+  // recycling-vs-baseline RSS peak comparison the k=32 figure's ~300 MB
+  // high-water would poison.
   std::vector<figure_stats> figures;
   figures.push_back(run_incast_figure());
   figures.push_back(run_permutation_figure());
@@ -1607,26 +1203,36 @@ int main(int argc, char** argv) {
   figures.push_back(run_permutation_dcqcn_k8());
   figures.push_back(run_phost_k8());
   for (const auto& st : figures) {
-    std::printf("%-24s %8.2fs  %9llu events  %.2fM events/s  (%zu flows)\n",
+    std::printf("%-24s %8.2fs  %9llu events  %.2fM events/s  ",
                 st.name.c_str(), st.wall_seconds,
                 static_cast<unsigned long long>(st.events),
-                st.events_per_sec / 1e6, st.completed);
+                st.events_per_sec / 1e6);
+    if (st.mean_gbps) {
+      std::printf("(%.2f Gb/s mean goodput)\n", *st.mean_gbps);
+    } else {
+      std::printf("(%zu flows)\n", st.completed);
+    }
   }
-  // A figure that completes zero flows measured nothing — its events/sec is
-  // the rate of a degenerate workload and every downstream gate on it is
-  // meaningless.  Fail the whole bench run loudly (no JSON is written, so
-  // the CI smoke gate trips too) instead of recording a hollow number.
+  // A figure that did no work measured nothing — its events/sec is the rate
+  // of a degenerate workload and every downstream gate on it is
+  // meaningless.  Finite-flow figures must complete a flow; goodput-window
+  // figures (unbounded flows that never complete) must deliver goodput.
+  // Fail the whole bench run loudly (no JSON is written, so the CI smoke
+  // gate trips too) instead of recording a hollow number.
   for (const auto& st : figures) {
-    if (st.completed == 0) {
+    const bool idle = st.mean_gbps ? !(*st.mean_gbps > 0) : st.completed == 0;
+    if (idle) {
       std::fprintf(stderr,
-                   "FATAL: figure %s completed zero flows — refusing to "
-                   "record a degenerate run\n",
-                   st.name.c_str());
+                   "FATAL: figure %s %s — refusing to record a degenerate "
+                   "run\n",
+                   st.name.c_str(),
+                   st.mean_gbps ? "delivered zero goodput"
+                                : "completed zero flows");
       return 1;
     }
   }
 
-  // ---- Section 4b: virtual vs flat dispatch on the identical workload.
+  // ---- Section 5: virtual vs flat dispatch on the identical workload.
   const flat_dispatch_result fd = run_flat_dispatch_bench(quick);
   std::printf(
       "\nflat dispatch (k=16 NDP permutation, %llu events/mode):\n"
@@ -1646,7 +1252,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // ---- Section 4d: telemetry off vs on, on the same workload as 4b.
+  // ---- Section 6: telemetry off vs on, on the same workload as section 5.
   const telemetry_bench_result tb = run_telemetry_bench(quick);
   std::printf(
       "\ntelemetry (k=16 NDP permutation, flat dispatch, %llu events/mode):\n"
@@ -1666,55 +1272,38 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // ---- Section 4c: packet-path microbenchmark (old vs new packet layout).
-  // Runs after the figures: it allocates ~16 MB of packet slabs, and the
-  // k=32 headline figure gets the clean heap.
+  // ---- Section 7: packet-path microbenchmark.  Runs after the figures: it
+  // allocates ~8 MB of packet slabs per round, and the k=32 headline figure
+  // gets the clean heap.
   const packet_path::packet_path_result pp = packet_path::run_packet_path(quick);
   std::printf(
       "\npacket path (4-hop WRR chain, %lluM ops, %zu live packets):\n"
-      "  legacy layout+pool : %.3f cpu-s  %.2fM ops/s\n"
-      "  hot/cold + ordered : %.3f cpu-s  %.2fM ops/s\n"
-      "  speedup: %.2fx\n",
+      "  hot/cold layout + slab pool : %.3f cpu-s  %.2fM ops/s\n",
       static_cast<unsigned long long>(pp.ops / 1'000'000), pp.live_packets,
-      pp.legacy_sec, static_cast<double>(pp.ops) / pp.legacy_sec / 1e6,
-      pp.new_sec, static_cast<double>(pp.ops) / pp.new_sec / 1e6,
-      pp.speedup());
+      pp.cpu_sec, static_cast<double>(pp.ops) / pp.cpu_sec / 1e6);
 
-  // ---- Section 2: route-setup microbenchmark.  Best-of rounds: the
-  // interned side finishes in ~1ms, where allocation jitter alone spans
-  // >30% run to run; keeping each side's best timing is what makes the
-  // routes/sec rate stable enough for the CI regression gate to watch it.
-  // Runs AFTER the flow-churn section (emitted in JSON order regardless):
-  // each legacy round transiently allocates a ~6 MB per-flow route arena,
-  // and process RSS high-water from those rounds would poison the churn
-  // recycling-vs-baseline peak comparison above.
+  // ---- Section 8: route-setup microbenchmark.  Best-of rounds: the
+  // table finishes in ~1ms, where allocation jitter alone spans >30% run
+  // to run; keeping the best timing is what makes the routes/sec rate
+  // stable enough for the CI regression gate to watch it.
   route_setup_result rs = run_route_setup();
   for (int round = 1; round < (quick ? 2 : 3); ++round) {
-    const route_setup_result r2 = run_route_setup();
-    if (r2.legacy_sec < rs.legacy_sec) rs.legacy_sec = r2.legacy_sec;
-    if (r2.interned_sec < rs.interned_sec) rs.interned_sec = r2.interned_sec;
+    rs.interned_sec = std::min(rs.interned_sec, run_route_setup().interned_sec);
   }
   std::printf(
       "\nroute setup (k=8 permutation, 10 rounds of flow churn, %llu route "
       "pairs):\n",
       static_cast<unsigned long long>(rs.route_pairs));
-  std::printf("  legacy   : %.3fs  %.2fM routes/s  %.1f MB resident\n",
-              rs.legacy_sec,
-              static_cast<double>(rs.route_pairs) / rs.legacy_sec / 1e6,
-              static_cast<double>(rs.legacy_bytes) / 1e6);
   std::printf("  interned : %.3fs  %.2fM routes/s  %.1f MB resident\n",
               rs.interned_sec,
               static_cast<double>(rs.route_pairs) / rs.interned_sec / 1e6,
               static_cast<double>(rs.interned_bytes) / 1e6);
-  std::printf("  speedup: %.2fx, memory: %.1fx smaller\n", rs.speedup(),
-              static_cast<double>(rs.legacy_bytes) /
-                  static_cast<double>(rs.interned_bytes));
 
-  // ---- Section 3b: fabric-setup microbenchmark (structure/state split).
+  // ---- Section 9: fabric-setup microbenchmark (structure/state split).
   // k=16 always (fast enough for the CI smoke run to gate); k=32 — the
   // 8192-host fabric the split exists for — only in full runs.  Runs after
   // the flow-churn section for the same RSS-poisoning reason: its k=32
-  // phases allocate (and free) hundreds of megabytes.
+  // phases allocate (and free) tens of megabytes.
   std::vector<fabric_setup_result> fabric_setups;
   fabric_setups.push_back(run_fabric_setup(16, quick ? 2 : 3));
   if (!quick) fabric_setups.push_back(run_fabric_setup(32, 2));
@@ -1725,82 +1314,13 @@ int main(int argc, char** argv) {
         "route set):\n",
         f.k, f.hosts, f.links);
     std::printf(
-        "  from-scratch (pre-split replica): %.3fs  %.1f MB per env\n",
-        f.legacy_sec, static_cast<double>(f.legacy_bytes) / 1e6);
-    std::printf(
         "  blueprint: %.3fs once (%.1f MB shared); instantiate %.3fs + warm "
         "routes %.3fs, %.1f MB per env\n",
         f.blueprint_sec, static_cast<double>(f.blueprint_bytes) / 1e6,
         f.instantiate_sec, f.route_warm_sec,
         static_cast<double>(f.instance_bytes + f.table_bytes) / 1e6);
-    std::printf("  per-instance speedup: %.1fx (%.1fx charging route "
-                "resolution to the instance)\n",
-                f.speedup(), f.with_routes_speedup());
   }
   std::printf("\n");
-
-  // ---- Section 5: serial vs parallel sweep, identical-results check.
-  std::vector<experiment_config> sweep;
-  for (int i = 0; i < 4; ++i) {
-    sweep.push_back(experiment_config{
-        .name = "incast_seed" + std::to_string(1000 + i),
-        .seed = static_cast<std::uint64_t>(1000 + i),
-        .param = i});
-  }
-  std::atomic<std::size_t> private_fabric_bytes{0};
-  auto body = [&private_fabric_bytes](const experiment_config& cfg,
-                                      sim_env& env, fct_recorder& fcts) {
-    incast_body(cfg, env, fcts, nullptr, &private_fabric_bytes);
-  };
-
-  parallel_runner serial(1);
-  const auto ts0 = std::chrono::steady_clock::now();
-  const auto serial_out = serial.run(sweep, body);
-  const double serial_wall = seconds_since(ts0);
-  const std::size_t private_bytes = private_fabric_bytes.load();
-
-  parallel_runner pool(0);
-  const auto tp0 = std::chrono::steady_clock::now();
-  const auto parallel_out = pool.run(sweep, body);
-  const double parallel_wall = seconds_since(tp0);
-
-  const bool identical = outcomes_identical(serial_out, parallel_out);
-  const fct_recorder merged = merge_fcts(parallel_out);
-  std::printf(
-      "\nsweep of %zu configs: serial %.2fs, parallel %.2fs on %u threads "
-      "(%.2fx), results %s, %zu flows merged\n",
-      sweep.size(), serial_wall, parallel_wall, pool.threads(),
-      serial_wall / parallel_wall, identical ? "IDENTICAL" : "DIVERGED",
-      merged.completed());
-
-  // The same sweep over ONE shared blueprint: every job stamps out a
-  // per-env instance, the immutable structure (link records + structural
-  // path table) is resident once instead of once per job.  Results must be
-  // bitwise-identical to the private-fabric sweep — the split may not leak
-  // any state between jobs.
-  fabric_params sweep_fp;
-  sweep_fp.proto = protocol::ndp;
-  auto sweep_bp = make_fat_tree_blueprint(4, sweep_fp);
-  std::atomic<std::size_t> shared_env_bytes{0};
-  auto shared_body = [&sweep_bp, &shared_env_bytes](
-                         const experiment_config& cfg, sim_env& env,
-                         fct_recorder& fcts) {
-    incast_body(cfg, env, fcts, &sweep_bp, &shared_env_bytes);
-  };
-  const auto tb0 = std::chrono::steady_clock::now();
-  const auto shared_out = pool.run(sweep, shared_body);
-  const double shared_wall = seconds_since(tb0);
-  const bool shared_identical = outcomes_identical(serial_out, shared_out);
-  const std::size_t shared_bytes =
-      shared_env_bytes.load() + sweep_bp->resident_bytes();
-  const std::size_t private_per_sweep = private_bytes;  // one serial sweep
-  std::printf(
-      "shared-blueprint sweep: parallel %.2fs, results %s, resident fabric "
-      "%.2f MB shared vs %.2f MB private (%s)\n",
-      shared_wall, shared_identical ? "IDENTICAL" : "DIVERGED",
-      static_cast<double>(shared_bytes) / 1e6,
-      static_cast<double>(private_per_sweep) / 1e6,
-      shared_bytes < private_per_sweep ? "lower" : "NOT LOWER");
 
   // ---- Emit JSON.
   FILE* f = std::fopen(out_path, "w");
@@ -1810,32 +1330,24 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"generated_by\": \"bench_eventcore\",\n");
-  std::fprintf(f, "  \"host_threads\": %u,\n", pool.threads());
+  std::fprintf(f, "  \"host_threads\": %u,\n", parallel_runner(0).threads());
   std::fprintf(f, "  \"scheduler_microbench\": {\n");
   std::fprintf(f,
-               "    \"timer_churn\": {\"ops\": %llu, \"legacy_ops_per_sec\": "
-               "%.0f, \"new_ops_per_sec\": %.0f, \"legacy_spurious_wakeups\": "
-               "%llu, \"speedup\": %.3f},\n",
-               static_cast<unsigned long long>(cp.acks), churn_legacy_ops,
-               churn_new_ops,
-               static_cast<unsigned long long>(legacy_spurious),
-               t_legacy / t_new);
+               "    \"timer_churn\": {\"ops\": %llu, \"new_ops_per_sec\": "
+               "%.0f},\n",
+               static_cast<unsigned long long>(cp.acks), churn_new_ops);
   std::fprintf(f,
                "    \"tick_dispatch\": {\"events\": %llu, "
-               "\"legacy_events_per_sec\": %.0f, \"new_events_per_sec\": "
-               "%.0f, \"speedup\": %.3f}\n",
-               static_cast<unsigned long long>(tick_events), tick_legacy_eps,
-               tick_new_eps, tick_legacy_s / tick_new_s);
+               "\"new_events_per_sec\": %.0f}\n",
+               static_cast<unsigned long long>(tick_events), tick_new_eps);
   std::fprintf(f, "  },\n");
   std::fprintf(
       f,
-      "  \"route_setup\": {\"route_pairs\": %llu, \"legacy_routes_per_sec\": "
-      "%.0f, \"interned_routes_per_sec\": %.0f, \"legacy_resident_bytes\": "
-      "%zu, \"interned_resident_bytes\": %zu, \"speedup\": %.3f},\n",
+      "  \"route_setup\": {\"route_pairs\": %llu, \"interned_routes_per_sec\": "
+      "%.0f, \"interned_resident_bytes\": %zu},\n",
       static_cast<unsigned long long>(rs.route_pairs),
-      static_cast<double>(rs.route_pairs) / rs.legacy_sec,
-      static_cast<double>(rs.route_pairs) / rs.interned_sec, rs.legacy_bytes,
-      rs.interned_bytes, rs.speedup());
+      static_cast<double>(rs.route_pairs) / rs.interned_sec,
+      rs.interned_bytes);
   std::fprintf(f, "  \"fabric_setup\": [\n");
   for (std::size_t i = 0; i < fabric_setups.size(); ++i) {
     const auto& fb = fabric_setups[i];
@@ -1843,15 +1355,12 @@ int main(int argc, char** argv) {
         f,
         "    {\"k\": %u, \"hosts\": %zu, \"links\": %zu, "
         "\"blueprint_seconds\": %.6f, \"instantiate_seconds\": %.6f, "
-        "\"route_warm_seconds\": %.6f, \"legacy_seconds\": %.6f, "
-        "\"instantiates_per_sec\": %.2f, \"speedup\": %.3f, "
-        "\"with_routes_speedup\": %.3f, "
+        "\"route_warm_seconds\": %.6f, \"instantiates_per_sec\": %.2f, "
         "\"blueprint_resident_bytes\": %zu, \"instance_resident_bytes\": %zu, "
-        "\"table_resident_bytes\": %zu, \"legacy_resident_bytes\": %zu}%s\n",
+        "\"table_resident_bytes\": %zu}%s\n",
         fb.k, fb.hosts, fb.links, fb.blueprint_sec, fb.instantiate_sec,
-        fb.route_warm_sec, fb.legacy_sec, 1.0 / fb.instantiate_sec,
-        fb.speedup(), fb.with_routes_speedup(), fb.blueprint_bytes,
-        fb.instance_bytes, fb.table_bytes, fb.legacy_bytes,
+        fb.route_warm_sec, 1.0 / fb.instantiate_sec, fb.blueprint_bytes,
+        fb.instance_bytes, fb.table_bytes,
         i + 1 < fabric_setups.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
@@ -1889,11 +1398,15 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "%s    {\"name\": \"%s\", \"events\": %llu, "
                  "\"wall_seconds\": %.4f, \"cpu_seconds\": %.4f, "
-                 "\"events_per_sec\": %.0f, "
-                 "\"flows_completed\": %zu}",
+                 "\"events_per_sec\": %.0f, ",
                  first ? "" : ",\n", st.name.c_str(),
                  static_cast<unsigned long long>(st.events), st.wall_seconds,
-                 st.cpu_seconds, st.events_per_sec, st.completed);
+                 st.cpu_seconds, st.events_per_sec);
+    if (st.mean_gbps) {
+      std::fprintf(f, "\"mean_gbps\": %.4f}", *st.mean_gbps);
+    } else {
+      std::fprintf(f, "\"flows_completed\": %zu}", st.completed);
+    }
     first = false;
   }
   std::fprintf(f, "\n  ],\n");
@@ -1923,11 +1436,9 @@ int main(int argc, char** argv) {
   std::fprintf(
       f,
       "  \"packet_path\": {\"ops\": %llu, \"live_packets\": %zu, "
-      "\"legacy_ops_per_sec\": %.0f, \"new_ops_per_sec\": %.0f, "
-      "\"speedup\": %.3f},\n",
+      "\"new_ops_per_sec\": %.0f},\n",
       static_cast<unsigned long long>(pp.ops), pp.live_packets,
-      static_cast<double>(pp.ops) / pp.legacy_sec,
-      static_cast<double>(pp.ops) / pp.new_sec, pp.speedup());
+      static_cast<double>(pp.ops) / pp.cpu_sec);
   std::fprintf(f, "  \"campaign\": {\n");
   std::fprintf(f, "    \"jobs\": %zu,\n", camp.jobs);
   std::fprintf(f, "    \"jobs_per_sec\": %.2f,\n", camp.jobs_per_sec());
@@ -1941,65 +1452,18 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    \"rss_flat\": %s,\n", camp.rss_flat ? "true" : "false");
   std::fprintf(f, "    \"resume_identical\": %s\n",
                camp.resume_identical ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"parallel_sweep\": {\n");
-  std::fprintf(f, "    \"configs\": %zu,\n", sweep.size());
-  std::fprintf(f, "    \"threads\": %u,\n", pool.threads());
-  std::fprintf(f, "    \"serial_wall_seconds\": %.4f,\n", serial_wall);
-  std::fprintf(f, "    \"parallel_wall_seconds\": %.4f,\n", parallel_wall);
-  std::fprintf(f, "    \"speedup\": %.3f,\n", serial_wall / parallel_wall);
-  std::fprintf(f, "    \"identical_results\": %s,\n",
-               identical ? "true" : "false");
-  std::fprintf(f, "    \"shared_blueprint\": {\n");
-  std::fprintf(f, "      \"parallel_wall_seconds\": %.4f,\n", shared_wall);
-  std::fprintf(f, "      \"identical_results\": %s,\n",
-               shared_identical ? "true" : "false");
-  std::fprintf(f, "      \"shared_resident_bytes\": %zu,\n", shared_bytes);
-  std::fprintf(f, "      \"private_resident_bytes\": %zu,\n",
-               private_per_sweep);
-  std::fprintf(f, "      \"resident_lower\": %s\n",
-               shared_bytes < private_per_sweep ? "true" : "false");
-  std::fprintf(f, "    }\n");
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
 
-  // The microbench gates the acceptance criteria ride on.
-  if (t_legacy / t_new < 2.0) {
-    std::fprintf(stderr,
-                 "WARNING: timer churn speedup %.2fx below the 2x target\n",
-                 t_legacy / t_new);
-  }
-  if (rs.speedup() < 5.0) {
-    std::fprintf(stderr,
-                 "WARNING: route setup speedup %.2fx below the 5x target\n",
-                 rs.speedup());
-  }
-  for (const auto& fb : fabric_setups) {
-    // The acceptance gate rides on the k=32 fabric (the scale the split
-    // exists for; smaller fabrics amortize less construction per route).
-    if (fb.k >= 32 && fb.speedup() < 10.0) {
-      std::fprintf(stderr,
-                   "WARNING: k=%u per-instance setup %.1fx below the 10x "
-                   "from-scratch target\n",
-                   fb.k, fb.speedup());
-    }
-  }
-  if (shared_bytes >= private_per_sweep) {
-    std::fprintf(stderr,
-                 "WARNING: shared-blueprint sweep not lighter than private "
-                 "fabrics\n");
-  }
+  // Advisory warnings: they never fail the run.  CI's gates live in
+  // scripts/check_bench.py.
   if (cr.flows_per_sec() < cb.flows_per_sec()) {
     std::fprintf(stderr,
                  "WARNING: recycling churn %.0f flows/s below the no-recycle "
                  "baseline's %.0f\n",
                  cr.flows_per_sec(), cb.flows_per_sec());
-  }
-  if (cr.rss_after >= cb.rss_after && cb.rss_after > 0) {
-    std::fprintf(stderr,
-                 "WARNING: recycling peak RSS not below the baseline's\n");
   }
   if (camp.rss_stream >= camp.rss_keepall) {
     std::fprintf(stderr,
@@ -2024,7 +1488,7 @@ int main(int argc, char** argv) {
                  (tb.overhead() - 1.0) * 100.0);
   }
   // Unarmed telemetry is one never-taken branch per site: its rate must sit
-  // within noise of section 4b's flat run of the very same workload (same
+  // within noise of section 5's flat run of the very same workload (same
   // binary, same process — a real regression here means the hooks cost
   // something even when off).  The bar is 10%, not tighter: the two
   // sections time the identical configuration minutes apart and
@@ -2038,5 +1502,5 @@ int main(int argc, char** argv) {
                  "the flat-dispatch run's %.2fM ev/s\n",
                  tb_off_eps / 1e6, fd_flat_eps / 1e6);
   }
-  return identical && shared_identical ? 0 : 2;
+  return 0;
 }

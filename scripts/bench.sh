@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Build Release and refresh BENCH_eventcore.json at the repo root: the
-# event-core microbenchmark (new scheduler vs embedded legacy baseline), the
-# flow-churn recycling benchmark, representative figure runs, the
-# serial-vs-parallel sweep and the campaign-engine section (streaming vs
-# keep-all RSS, resume identity).
+# scheduler microbenchmark, the flow-churn recycling benchmark, the
+# campaign-engine section (streaming vs keep-all RSS, resume identity),
+# representative figure runs, flat dispatch, telemetry, packet path, route
+# setup and fabric setup.  scripts/check_bench.py gates the result.
 #
 # Usage: scripts/bench.sh [output.json]
 #   BENCH_QUICK=1  reduced iteration counts and a shorter campaign grid

@@ -25,7 +25,10 @@ exists to catch an unarmed hook acquiring real cost, which shows up far
 above that).  The campaign section (PR 9) adds three more candidate-side
 gates: resume_identical (interrupted+resumed merged results byte-identical
 to uninterrupted), streaming RSS strictly below the keep-every-outcome
-baseline, and RSS flat in campaign length.
+baseline, and RSS flat in campaign length.  The flow_churn section must
+exist with peak_rss_lower true: closed-loop churn with the flow recycler
+peaks below the no-recycle baseline's RSS (a recycler that stopped freeing
+would not).
 
 The comparison prints as a per-section table (figures, scheduler, churn,
 packet_path, ...) so an old-vs-new delta is readable section by section.
@@ -189,6 +192,21 @@ def check_campaign(doc):
     return failures
 
 
+def check_flow_churn(doc):
+    """Structural gate on the candidate's flow_churn section: it must exist
+    and the recycling phase's peak RSS must sit below the no-recycle
+    baseline's.  The recycling phase runs first, so this is conservative:
+    the baseline starts from the recycler's peak and still has to climb
+    past it.  Returns a list of failure strings (empty = pass)."""
+    churn = doc.get("flow_churn")
+    if churn is None:
+        return ["flow_churn section missing from candidate"]
+    if churn.get("peak_rss_lower") is not True:
+        return ["flow_churn.peak_rss_lower is not true (recycling churn "
+                "did not peak below the no-recycle baseline's RSS)"]
+    return []
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("committed")
@@ -207,6 +225,7 @@ def main():
     structural_failures = check_flat_dispatch(candidate_doc)
     structural_failures += check_telemetry(candidate_doc)
     structural_failures += check_campaign(candidate_doc)
+    structural_failures += check_flow_churn(candidate_doc)
     k32_rate = next(
         (fig.get("events_per_sec", 0)
          for fig in committed_doc.get("figures", [])

@@ -2,7 +2,7 @@
 // per-env fabric_instances.  Covers blueprint geometry, lazy name
 // formatting, structural-path interning shared across instances, mutable
 // state isolation between instances of one blueprint, and serial-vs-parallel
-// determinism of a sweep over a shared blueprint.
+// determinism of a sweep over a shared blueprint or private fabrics.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -219,7 +219,8 @@ TEST(fabric_blueprint, parallel_sweep_over_shared_blueprint_is_deterministic) {
   // One blueprint, N jobs: parallel and serial execution must produce
   // bitwise-identical per-config FCT records (the structural table interns
   // lazily under contention in the parallel case — order differs, content
-  // must not).
+  // must not).  Jobs that each build a private fabric, serially and
+  // concurrently, must match too: sharing structure leaks no state.
   fabric_params fp;
   fp.proto = protocol::ndp;
   auto bp = make_fat_tree_blueprint(4, fp);
@@ -230,44 +231,56 @@ TEST(fabric_blueprint, parallel_sweep_over_shared_blueprint_is_deterministic) {
                                       .seed = 100u + static_cast<unsigned>(i),
                                       .param = i});
   }
-  auto body = [&bp, &fp](const experiment_config& cfg, sim_env& env,
-                         fct_recorder& fcts) {
-    testbed bed(env, bp, fp);
-    flow_options o;
-    o.bytes = (10 + static_cast<std::uint64_t>(cfg.param)) * 8936;
-    o.max_paths = 2;
-    std::vector<flow*> flows;
-    for (std::uint32_t h = 1; h <= 5; ++h) {
-      flow_options fo = o;
-      fo.start = static_cast<simtime_t>(env.rand_below(1000)) * kNanosecond;
-      flows.push_back(&bed.flows->create(protocol::ndp, h, 0, fo));
-    }
-    run_until_complete(env, flows, from_ms(100));
-    for (const auto& f : bed.flows->flows()) {
-      if (f == nullptr) continue;
-      fcts.flow_started(f->id, f->start_time, f->bytes);
-      if (f->complete()) fcts.flow_completed(f->id, f->completion_time());
-    }
+  auto make_body = [&bp, &fp](bool shared) {
+    return [&bp, &fp, shared](const experiment_config& cfg, sim_env& env,
+                              fct_recorder& fcts) {
+      const auto bed = shared ? std::make_unique<testbed>(env, bp, fp)
+                              : std::make_unique<testbed>(env, ft_cfg(4), fp);
+      flow_options o;
+      o.bytes = (10 + static_cast<std::uint64_t>(cfg.param)) * 8936;
+      o.max_paths = 2;
+      std::vector<flow*> flows;
+      for (std::uint32_t h = 1; h <= 5; ++h) {
+        flow_options fo = o;
+        fo.start = static_cast<simtime_t>(env.rand_below(1000)) * kNanosecond;
+        flows.push_back(&bed->flows->create(protocol::ndp, h, 0, fo));
+      }
+      run_until_complete(env, flows, from_ms(100));
+      for (const auto& f : bed->flows->flows()) {
+        if (f == nullptr) continue;
+        fcts.flow_started(f->id, f->start_time, f->bytes);
+        if (f->complete()) fcts.flow_completed(f->id, f->completion_time());
+      }
+    };
   };
 
   parallel_runner serial(1);
   parallel_runner pool(4);
-  const auto a = serial.run(sweep, body);
-  const auto b = pool.run(sweep, body);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].fcts.records().size(), b[i].fcts.records().size());
-    for (std::size_t j = 0; j < a[i].fcts.records().size(); ++j) {
-      const auto& ra = a[i].fcts.records()[j];
-      const auto& rb = b[i].fcts.records()[j];
-      EXPECT_EQ(ra.flow_id, rb.flow_id);
-      EXPECT_EQ(ra.start, rb.start);
-      EXPECT_EQ(ra.end, rb.end);
-      EXPECT_EQ(ra.bytes, rb.bytes);
-    }
-    EXPECT_EQ(a[i].events_processed, b[i].events_processed);
-    EXPECT_EQ(a[i].sim_end, b[i].sim_end);
-  }
+  const auto a = serial.run(sweep, make_body(true));
+  const auto expect_same_as_serial_shared =
+      [&a](const char* arm, const std::vector<experiment_outcome>& b) {
+        SCOPED_TRACE(arm);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          ASSERT_EQ(a[i].fcts.records().size(), b[i].fcts.records().size());
+          for (std::size_t j = 0; j < a[i].fcts.records().size(); ++j) {
+            const auto& ra = a[i].fcts.records()[j];
+            const auto& rb = b[i].fcts.records()[j];
+            EXPECT_EQ(ra.flow_id, rb.flow_id);
+            EXPECT_EQ(ra.start, rb.start);
+            EXPECT_EQ(ra.end, rb.end);
+            EXPECT_EQ(ra.bytes, rb.bytes);
+          }
+          EXPECT_EQ(a[i].events_processed, b[i].events_processed);
+          EXPECT_EQ(a[i].sim_end, b[i].sim_end);
+        }
+      };
+  expect_same_as_serial_shared("shared blueprint, 4 threads",
+                               pool.run(sweep, make_body(true)));
+  expect_same_as_serial_shared("private fabrics, 1 thread",
+                               serial.run(sweep, make_body(false)));
+  expect_same_as_serial_shared("private fabrics, 4 threads",
+                               pool.run(sweep, make_body(false)));
   // Every job completed its incast.
   for (const auto& out : a) EXPECT_EQ(out.fcts.completed(), 5u);
 }
