@@ -715,8 +715,8 @@ k16_permutation_run run_k16_permutation(bool flat, bool telemetry) {
 // The ordering contract says the two modes must dispatch the exact same
 // event sequence, so the event counts must match bitwise; the FCT-level
 // identity is asserted by the flat_dispatch ctest — here the counts gate
-// catches gross divergence and the timings quantify what devirtualization
-// is worth on a real fabric.
+// catches gross divergence and the timings quantify what flat dispatch is
+// worth on a real fabric.
 // --------------------------------------------------------------------------
 
 struct flat_dispatch_result {

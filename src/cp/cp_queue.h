@@ -25,7 +25,7 @@ class cp_queue final : public queue_base {
   /// packets are always admitted.
   cp_queue(sim_env& env, linkspeed_bps rate, std::uint64_t capacity_bytes,
            std::string name = "cpq")
-      : queue_base(env, rate, std::move(name), dequeue_kind::cp_fifo),
+      : queue_base(env, rate, std::move(name)),
         capacity_(capacity_bytes) {}
 
   [[nodiscard]] std::uint64_t buffered_bytes() const override {
@@ -39,13 +39,6 @@ class cp_queue final : public queue_base {
   }
   [[nodiscard]] std::uint64_t buffered_header_bytes() const {
     return header_bytes_;
-  }
-
-  // dequeue_kind::cp_fifo hooks (see queue_base::dequeue_next_dispatch).
-  [[nodiscard]] packet* dequeue_direct() { return cp_queue::dequeue_next(); }
-  void prefetch_front_slots() const { fifo_.prefetch_front_slot(); }
-  void prefetch_front_packets() const {
-    if (!fifo_.empty()) __builtin_prefetch(fifo_.front());
   }
 
  protected:

@@ -33,7 +33,7 @@ class ndp_queue final : public queue_base {
  public:
   ndp_queue(sim_env& env, linkspeed_bps rate, ndp_queue_config cfg,
             name_ref name = "ndpq")
-      : queue_base(env, rate, std::move(name), dequeue_kind::ndp_wrr),
+      : queue_base(env, rate, std::move(name)),
         cfg_(cfg) {}
 
   [[nodiscard]] std::uint64_t buffered_bytes() const override {
@@ -53,19 +53,6 @@ class ndp_queue final : public queue_base {
     p.size_bytes = kHeaderBytes;
     p.payload_bytes = 0;
     p.priority = 1;
-  }
-
-  // dequeue_kind::ndp_wrr hooks (see queue_base::dequeue_next_dispatch).
-  // Which ring WRR serves next depends on the credit counter, so the
-  // prefetch hooks cover the front of both; one of the two is the hit.
-  [[nodiscard]] packet* dequeue_direct() { return ndp_queue::dequeue_next(); }
-  void prefetch_front_slots() const {
-    hdr_.prefetch_front_slot();
-    data_.prefetch_front_slot();
-  }
-  void prefetch_front_packets() const {
-    if (!hdr_.empty()) __builtin_prefetch(hdr_.front());
-    if (!data_.empty()) __builtin_prefetch(data_.front());
   }
 
  protected:

@@ -13,7 +13,7 @@ class drop_tail_queue : public queue_base {
  public:
   drop_tail_queue(sim_env& env, linkspeed_bps rate, std::uint64_t capacity_bytes,
                   name_ref name = "droptail")
-      : queue_base(env, rate, std::move(name), dequeue_kind::fifo),
+      : queue_base(env, rate, std::move(name)),
         capacity_(capacity_bytes) {}
 
   [[nodiscard]] std::uint64_t buffered_bytes() const override { return bytes_; }
@@ -21,17 +21,6 @@ class drop_tail_queue : public queue_base {
     return fifo_.size();
   }
   [[nodiscard]] std::uint64_t capacity_bytes() const { return capacity_; }
-
-  // dequeue_kind::fifo hooks (see queue_base::dequeue_next_dispatch).  The
-  // qualified call is static even for the ECN subclasses — they share this
-  // exact dequeue body and only override admission.
-  [[nodiscard]] packet* dequeue_direct() {
-    return drop_tail_queue::dequeue_next();
-  }
-  void prefetch_front_slots() const { fifo_.prefetch_front_slot(); }
-  void prefetch_front_packets() const {
-    if (!fifo_.empty()) __builtin_prefetch(fifo_.front());
-  }
 
  protected:
   void enqueue_arrival(packet& p) override {
@@ -142,7 +131,7 @@ class host_priority_queue final : public queue_base {
   host_priority_queue(sim_env& env, linkspeed_bps rate,
                       name_ref name = "hostnic",
                       std::uint64_t data_capacity_bytes = 0)
-      : queue_base(env, rate, std::move(name), dequeue_kind::host_priority),
+      : queue_base(env, rate, std::move(name)),
         data_capacity_(data_capacity_bytes) {}
 
   [[nodiscard]] std::uint64_t buffered_bytes() const override {
@@ -150,19 +139,6 @@ class host_priority_queue final : public queue_base {
   }
   [[nodiscard]] std::size_t buffered_packets() const override {
     return packets_;
-  }
-
-  // dequeue_kind::host_priority hooks.
-  [[nodiscard]] packet* dequeue_direct() {
-    return host_priority_queue::dequeue_next();
-  }
-  void prefetch_front_slots() const {
-    ctrl_.prefetch_front_slot();
-    data_.prefetch_front_slot();
-  }
-  void prefetch_front_packets() const {
-    if (!ctrl_.empty()) __builtin_prefetch(ctrl_.front());
-    if (!data_.empty()) __builtin_prefetch(data_.front());
   }
 
  protected:

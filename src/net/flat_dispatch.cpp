@@ -1,96 +1,20 @@
-// Flat batch handlers and the devirtualized dequeue tier.
+// Flat batch handlers for the fabric hot path: pipe delivery and queue
+// service completion.
 //
-// The two hot-path batch bodies (pipe delivery, queue service completion)
-// live here rather than in their class headers because both now reach into
-// concrete types the headers cannot see: the queue handler prefetches the
-// ring the next dequeue will pop (switching on `dequeue_kind`), and the
-// pipe handler's last pipeline stage peeks into `flow_demux`'s hash table.
-// They are only ever called through the function pointers registered below,
-// so nothing is lost by taking them out of line.
+// Each body is a software pipeline over its dispatch run: while entry i does
+// real work, earlier stages prefetch one link of the next-hop chain (packet
+// -> route -> slot -> sink table entry -> sink object) for entries further
+// ahead.  The stages read only `packet`, `route` and the handler's own
+// class; delivery and dequeue go through the vtable like any other call.
+// The bodies are only ever called through the function pointers registered
+// below, so nothing is lost by keeping them out of line.
 
 #include "net/flat_dispatch.h"
 
-#include "cp/cp_queue.h"
-#include "ndp/ndp_queue.h"
-#include "net/fifo_queues.h"
-#include "net/path_set.h"
 #include "net/pipe.h"
 #include "net/queue.h"
 
 namespace ndpsim {
-
-packet* queue_base::dequeue_next_dispatch() {
-  // Direct calls into final-class bodies: same packet, same side effects as
-  // the vtable slot, minus the indirect call.  `other` (composites, test
-  // queues) keeps the virtual path bit-identically.
-  switch (dequeue_kind_) {
-    case dequeue_kind::fifo:
-      return static_cast<drop_tail_queue*>(this)->dequeue_direct();
-    case dequeue_kind::ndp_wrr:
-      return static_cast<ndp_queue*>(this)->dequeue_direct();
-    case dequeue_kind::host_priority:
-      return static_cast<host_priority_queue*>(this)->dequeue_direct();
-    case dequeue_kind::cp_fifo:
-      return static_cast<cp_queue*>(this)->dequeue_direct();
-    case dequeue_kind::other:
-      break;
-  }
-  return dequeue_next();
-}
-
-void queue_base::prefetch_dequeue_slot() const {
-  switch (dequeue_kind_) {
-    case dequeue_kind::fifo:
-      static_cast<const drop_tail_queue*>(this)->prefetch_front_slots();
-      break;
-    case dequeue_kind::ndp_wrr:
-      static_cast<const ndp_queue*>(this)->prefetch_front_slots();
-      break;
-    case dequeue_kind::host_priority:
-      static_cast<const host_priority_queue*>(this)->prefetch_front_slots();
-      break;
-    case dequeue_kind::cp_fifo:
-      static_cast<const cp_queue*>(this)->prefetch_front_slots();
-      break;
-    case dequeue_kind::other:
-      break;
-  }
-}
-
-void queue_base::prefetch_dequeue_packet() const {
-  switch (dequeue_kind_) {
-    case dequeue_kind::fifo:
-      static_cast<const drop_tail_queue*>(this)->prefetch_front_packets();
-      break;
-    case dequeue_kind::ndp_wrr:
-      static_cast<const ndp_queue*>(this)->prefetch_front_packets();
-      break;
-    case dequeue_kind::host_priority:
-      static_cast<const host_priority_queue*>(this)->prefetch_front_packets();
-      break;
-    case dequeue_kind::cp_fifo:
-      static_cast<const cp_queue*>(this)->prefetch_front_packets();
-      break;
-    case dequeue_kind::other:
-      break;
-  }
-}
-
-namespace {
-
-// Shared tail stage of both handlers: one entry before a packet is handed to
-// its sink, peek whether that sink is a terminal flow_demux and prefetch the
-// home hash bucket for the packet's flow.  Both loads this makes (the sink
-// table entry, the sink's first line) were prefetched by the earlier stages
-// of the same pipeline, so the peek itself does not stall.
-inline void prefetch_terminal_bucket(const packet& p) {
-  const packet_sink* s = p.rt->hop_sink(p.next_hop);
-  if (s != nullptr && s->is_terminal_demux()) {
-    static_cast<const flow_demux*>(s)->prefetch_flow(p.flow_id);
-  }
-}
-
-}  // namespace
 
 void pipe::dispatch_run(event_source* const* srcs,
                         const std::uint64_t* payloads, std::size_t n) {
@@ -114,10 +38,7 @@ void pipe::dispatch_run(event_source* const* srcs,
     }
     if (i + 2 < n) {
       const packet* q = reinterpret_cast<const packet*>(payloads[i + 2]);
-      q->rt->prefetch_hop_sink(q->next_hop);
-    }
-    if (i + 1 < n) {
-      prefetch_terminal_bucket(*reinterpret_cast<const packet*>(payloads[i + 1]));
+      q->rt->prefetch_sink(q->next_hop);
     }
     packet& p = *reinterpret_cast<packet*>(payloads[i]);
     static_cast<pipe*>(srcs[i])->tele_deliver(p);
@@ -128,10 +49,8 @@ void pipe::dispatch_run(event_source* const* srcs,
 void queue_base::dispatch_run(event_source* const* srcs,
                               const std::uint64_t* /*payloads*/,
                               std::size_t n) {
-  // Two chains interleave here: the in-service packet's next-hop resolution
-  // (it is about to be forwarded) and the ring front the follow-up dequeue
-  // will pop.  A queue's next hop is always a pipe, never a terminal demux,
-  // so the bucket stage lives only in pipe::dispatch_run.
+  // The queue object, then the in-service packet's next-hop resolution (it
+  // is about to be forwarded), one stage per future entry.
   for (std::size_t i = 0; i < n; ++i) {
     if (i + 5 < n) {
       const char* q =
@@ -145,13 +64,11 @@ void queue_base::dispatch_run(event_source* const* srcs,
       const char* p = reinterpret_cast<const char*>(qb->serving_);
       __builtin_prefetch(p);
       __builtin_prefetch(p + 64);
-      qb->prefetch_dequeue_slot();
     }
     if (i + 3 < n) {
       const queue_base* qb = static_cast<const queue_base*>(srcs[i + 3]);
       const packet* p = qb->serving_;
       if (p != nullptr) __builtin_prefetch(p->rt);
-      qb->prefetch_dequeue_packet();
     }
     if (i + 2 < n) {
       const queue_base* qb = static_cast<const queue_base*>(srcs[i + 2]);
@@ -165,7 +82,7 @@ void queue_base::dispatch_run(event_source* const* srcs,
       const queue_base* qb = static_cast<const queue_base*>(srcs[i + 1]);
       const packet* p = qb->serving_;
       if (p != nullptr && p->rt != nullptr) {
-        p->rt->prefetch_hop_sink(p->next_hop);
+        p->rt->prefetch_sink(p->next_hop);
       }
     }
     static_cast<queue_base*>(srcs[i])->service_complete();

@@ -1,8 +1,5 @@
 #include "net/packet.h"
 
-#include "net/path_set.h"
-#include "net/pipe.h"
-#include "net/queue.h"
 #include "net/route.h"
 
 namespace ndpsim {
@@ -10,26 +7,7 @@ namespace ndpsim {
 void send_to_next_hop(packet& p) {
   NDPSIM_ASSERT_MSG(p.rt != nullptr, "packet has no route");
   NDPSIM_ASSERT_MSG(p.next_hop < p.rt->size(), "packet ran off its route");
-  packet_sink& sink = p.rt->at(p.next_hop++);
-  // Hop-delivery tier of the devirtualized fast path: fabric routes only
-  // ever deliver to pipes, queues and the terminal flow_demux, all of whose
-  // receive bodies are final — the switch turns ~every hop's indirect call
-  // into a direct (inlinable) one.  `other` endpoints (transports, test
-  // sinks) take the virtual call, bit-identically.
-  switch (sink.kind()) {
-    case sink_kind::pipe:
-      static_cast<pipe&>(sink).receive(p);
-      return;
-    case sink_kind::queue:
-      static_cast<queue_base&>(sink).receive(p);
-      return;
-    case sink_kind::demux:
-      static_cast<flow_demux&>(sink).receive(p);
-      return;
-    case sink_kind::other:
-      break;
-  }
-  sink.receive(p);
+  p.rt->at(p.next_hop++).receive(p);
 }
 
 }  // namespace ndpsim

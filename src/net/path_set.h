@@ -39,18 +39,6 @@ namespace ndpsim {
 /// deliveries are returned to the packet pool and counted instead.
 class flow_demux final : public packet_sink {
  public:
-  flow_demux() { kind_ = sink_kind::demux; }
-
-  /// Prefetch the probe-chain home bucket for `flow_id`.  Issued by the flat
-  /// batch handlers one entry before a terminal delivery, so `receive`'s
-  /// first probe is a cache hit.  Only the home slot is fetched — at the
-  /// <=50% load the table maintains, most lookups end there.
-  void prefetch_flow(std::uint32_t flow_id) const {
-    if (!slots_.empty()) {
-      __builtin_prefetch(&slots_[hash(flow_id) & (slots_.size() - 1)]);
-    }
-  }
-
   void bind(std::uint32_t flow_id, packet_sink* endpoint) {
     NDPSIM_ASSERT(endpoint != nullptr);
     if (slots_.empty() || (bound_ + 1) * 2 > slots_.size()) {

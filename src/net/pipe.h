@@ -9,8 +9,8 @@
 // rescheduled head timer.  The pipe object holds no in-flight state at all;
 // delivery needs only the lane entry's payload (the packet pointer), so the
 // flat handler touches pipe memory only for the telemetry slot pointer (a
-// never-taken branch while unarmed; compiled out entirely with
-// NDPSIM_TELEMETRY_DISABLED).  All pipes sharing one delay share one lane.
+// never-taken branch while unarmed).  All pipes sharing one delay share one
+// lane.
 #pragma once
 
 #include <utility>
@@ -29,7 +29,6 @@ class pipe final : public packet_sink, public event_source {
       : event_source(env.events, std::move(name), dispatch_class::pipe_expiry),
         delay_(delay),
         lane_(env.events.lane_for(dispatch_class::pipe_expiry, delay)) {
-    kind_ = sink_kind::pipe;  // hop-delivery fast path (send_to_next_hop)
     NDPSIM_ASSERT(delay_ >= 0);
     // Distinct pipe delays come from topology configs — a handful of values
     // per fabric.  Exhausting the lane table here means something is
@@ -61,11 +60,11 @@ class pipe final : public packet_sink, public event_source {
   /// Flat batch handler for dispatch_class::pipe_expiry (registered by
   /// `install_flat_handlers`): must do exactly what per-entry
   /// `do_lane_event` does, in order.  Delivery is a dependent-load chain
-  /// (packet -> route slot -> sink table entry -> sink object -> demux hash
-  /// bucket) whose misses dominate the k=32 hot path, so the run is
-  /// pipelined six entries deep: each stage prefetches one link for a
-  /// future entry while the current one does real work.  Defined in
-  /// flat_dispatch.cpp (the last stage peeks into flow_demux).
+  /// (packet -> route -> slot -> sink table entry -> sink object) whose
+  /// misses dominate the k=32 hot path, so the run is pipelined six entries
+  /// deep: each stage prefetches one link for a future entry while the
+  /// current one does real work.  Defined in flat_dispatch.cpp beside the
+  /// queue handler.
   static void dispatch_run(event_source* const* srcs,
                            const std::uint64_t* payloads, std::size_t n);
 
@@ -82,7 +81,6 @@ class pipe final : public packet_sink, public event_source {
   /// flat batch handler (a static member, so it reaches this directly).
   void tele_deliver(const packet& p) {
     NDPSIM_TELE(++tele_->deq_pkts; tele_->deq_bytes += p.size_bytes);
-    (void)p;
   }
 
   simtime_t delay_;

@@ -12,7 +12,7 @@
 // Hot-path layout: service completions are monotone per (rate, packet size)
 // — the deadline is always now + serialization_time — so they ride the
 // event list's (queue_service, delta) lanes and batch-dispatch through
-// `dispatch_run` without a virtual call per event.  A queue's traffic
+// `dispatch_run`, one handler call per run.  A queue's traffic
 // alternates between very few sizes (full data MTU and header/control), so
 // a 2-entry wire-size -> (serialization time, lane) cache keeps service
 // start at two compares.  The rate never changes after construction, so the
@@ -47,36 +47,17 @@ struct queue_stats {
   std::uint64_t bytes_forwarded = 0;
 };
 
-/// Concrete dequeue discipline tag, set once at construction.  The service
-/// path dispatches on it with a switch instead of the `dequeue_next` vtable
-/// slot (`dequeue_next_dispatch` below), so the per-completion dequeue is a
-/// direct call into a final class body the compiler can inline.  `other` is
-/// the escape hatch: composites (coexist_queue) and test doubles keep the
-/// virtual path, bit-identically.
-enum class dequeue_kind : std::uint8_t {
-  other = 0,      ///< fall back to the virtual dequeue_next
-  fifo,           ///< drop_tail_queue family (ECN variants share its body)
-  ndp_wrr,        ///< ndp_queue (10:1 weighted round robin)
-  host_priority,  ///< host_priority_queue (ctrl over data)
-  cp_fifo,        ///< cp_queue (single FIFO, CP baseline)
-};
-
 class queue_base : public packet_sink, public event_source {
   // coexist_queue composes two child queues and drives their (protected)
   // admission/scheduling hooks directly, without giving them the wire.
   friend class coexist_queue;
 
  public:
-  queue_base(sim_env& env, linkspeed_bps rate, name_ref name,
-             dequeue_kind kind = dequeue_kind::other)
+  queue_base(sim_env& env, linkspeed_bps rate, name_ref name)
       : event_source(env.events, std::move(name),
                      dispatch_class::queue_service),
         env_(env),
-        rate_(rate),
-        dequeue_kind_(kind) {
-    // All queues share the final receive() below, so the hop-delivery fast
-    // path may call it through the base type for every subclass.
-    kind_ = sink_kind::queue;
+        rate_(rate) {
     NDPSIM_ASSERT(rate > 0);
   }
 
@@ -94,11 +75,9 @@ class queue_base : public packet_sink, public event_source {
   /// Flat batch handler for dispatch_class::queue_service (registered by
   /// `install_flat_handlers`): must do exactly what per-entry
   /// `do_lane_event` does, in order.  Pipelined like pipe::dispatch_run —
-  /// the queue object, its in-service packet, that packet's next-hop
-  /// resolution AND the front of the ring the next dequeue will pop are
-  /// prefetched for future entries of the run.  Defined in flat_dispatch.cpp
-  /// where the concrete queue types are visible (the ring prefetches switch
-  /// on `dequeue_kind_`).
+  /// the queue object, its in-service packet and that packet's next-hop
+  /// resolution are prefetched for future entries of the run.  Defined in
+  /// flat_dispatch.cpp beside the pipe handler.
   static void dispatch_run(event_source* const* srcs,
                            const std::uint64_t* payloads, std::size_t n);
 
@@ -148,14 +127,9 @@ class queue_base : public packet_sink, public event_source {
   /// Pick the next packet to serialize, or nullptr if none.
   [[nodiscard]] virtual packet* dequeue_next() = 0;
 
-  /// Devirtualized dequeue: switch on `dequeue_kind_` and call the concrete
-  /// final class's `dequeue_next` body directly; `other` falls back to the
-  /// virtual call.  Defined in flat_dispatch.cpp (needs the concrete types).
-  [[nodiscard]] packet* dequeue_next_dispatch();
-
   void try_start_service() {
     if (serving_ != nullptr || paused_) return;
-    packet* p = dequeue_next_dispatch();
+    packet* p = dequeue_next();
     if (p == nullptr) return;
     serving_ = p;
     const std::uint32_t size = p->size_bytes;
@@ -194,14 +168,12 @@ class queue_base : public packet_sink, public event_source {
     ++stats_.trimmed;
     NDPSIM_TELE(++tele_rare_->trim_pkts; tele_rare_->trim_bytes +=
                                          removed_bytes);
-    (void)removed_bytes;
   }
   /// `p` is leaving sideways onto the reverse route (return-to-sender).
   void count_bounce(const packet& p) {
     ++stats_.bounced;
     NDPSIM_TELE(++tele_rare_->bounce_pkts; tele_rare_->bounce_bytes +=
                                            p.size_bytes);
-    (void)p;
   }
   void count_mark() {
     ++stats_.marked;
@@ -213,13 +185,6 @@ class queue_base : public packet_sink, public event_source {
   telemetry_rare_counters* tele_rare_ = nullptr;  ///< armed with tele_
 
  private:
-  // Ring-front prefetch stages for dispatch_run: first the slot the next
-  // dequeue will pop (the ring buffer entry), then the packet that slot
-  // points at (whose hot header the dequeue body reads).  Both switch on
-  // `dequeue_kind_`; defined in flat_dispatch.cpp.
-  void prefetch_dequeue_slot() const;
-  void prefetch_dequeue_packet() const;
-
   void service_complete() {
     NDPSIM_ASSERT_MSG(serving_ != nullptr, "queue service event with no packet");
     packet* p = serving_;
@@ -241,7 +206,6 @@ class queue_base : public packet_sink, public event_source {
     simtime_t st = 0;
   } svc_[2];
   queue_stats stats_;
-  dequeue_kind dequeue_kind_;
   std::function<void(packet&)> on_depart_;
 };
 

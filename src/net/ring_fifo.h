@@ -57,14 +57,6 @@ class ring_fifo {
     return buf_[(head_ + size_ - 1) & (cap_ - 1)];
   }
 
-  /// Prefetch the slot `front()` would return (no-op when empty).  The batch
-  /// dispatch pipeline issues this a few entries ahead so the ring entry —
-  /// and, one stage later, the packet it points at — are in cache by the
-  /// time the dequeue body pops them.
-  void prefetch_front_slot() const {
-    if (size_ != 0) __builtin_prefetch(&buf_[head_]);
-  }
-
   void pop_front() {
     NDPSIM_ASSERT_MSG(size_ > 0, "pop_front() on empty ring_fifo");
     head_ = (head_ + 1) & (cap_ - 1);

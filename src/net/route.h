@@ -39,39 +39,11 @@ namespace ndpsim {
 
 struct packet;
 
-/// Concrete-type tag for the hop-delivery fast path, mirroring
-/// `dequeue_kind` on the dequeue side: the three sink types a fabric route
-/// is built from (queues at even hops, pipes at odd hops, a per-host
-/// `flow_demux` terminal) set their tag at construction, and
-/// `send_to_next_hop` switches on it to call the concrete `receive` body
-/// directly instead of through the vtable.  `other` (transport endpoints,
-/// test sinks) keeps the virtual call — the tag is an optimization hint,
-/// never a semantics switch.
-enum class sink_kind : std::uint8_t {
-  other = 0,
-  pipe,
-  queue,
-  demux,
-};
-
 /// Anything that can receive a packet: queues, pipes, transport endpoints.
 class packet_sink {
  public:
   virtual ~packet_sink() = default;
   virtual void receive(packet& p) = 0;
-
-  [[nodiscard]] sink_kind kind() const { return kind_; }
-
-  /// True only for `flow_demux` (set in its constructor).  A non-virtual
-  /// tag rather than dynamic_cast/virtual: the flat batch handlers test it
-  /// on the prefetch path to reach one stage past delivery — into the
-  /// demux's flow hash bucket — without an indirect call.
-  [[nodiscard]] bool is_terminal_demux() const {
-    return kind_ == sink_kind::demux;
-  }
-
- protected:
-  sink_kind kind_ = sink_kind::other;
 };
 
 /// The shared identity slot sequence {0, 1, 2, ...}: routes over contiguous
@@ -111,15 +83,8 @@ class route {
   void prefetch_hop_table(std::size_t i) const {
     if (i < n_) __builtin_prefetch(&table_[slots_[i]]);
   }
-  void prefetch_hop_sink(std::size_t i) const {
+  void prefetch_sink(std::size_t i) const {
     if (i < n_) __builtin_prefetch(table_[slots_[i]]);
-  }
-  /// Resolve hop `i` without the range assert (nullptr when out of range):
-  /// the prefetch pipeline reads the sink pointer a stage after
-  /// `prefetch_hop_table` so the load hits cache, then peeks the sink's
-  /// terminal flag to extend the chain into the demux hash bucket.
-  [[nodiscard]] packet_sink* hop_sink(std::size_t i) const {
-    return i < n_ ? table_[slots_[i]] : nullptr;
   }
   [[nodiscard]] std::size_t size() const { return n_; }
   [[nodiscard]] bool empty() const { return n_ == 0; }

@@ -29,7 +29,7 @@ struct sim_env {
   /// Optional telemetry plane for this simulation.  Attach BEFORE building
   /// the fabric: registration happens at component construction (queues,
   /// pipes) and at demux mount time, and components built while this is
-  /// null simply stay unarmed — the sim_env-level "off" of the zero-cost
+  /// null simply stay unarmed — the "off" mode of the telemetry cost
   /// contract (see sim/telemetry.h).  shared_ptr so a `parallel_runner`
   /// job's plane outlives its env on the experiment outcome.
   std::shared_ptr<telemetry_plane> telemetry;

@@ -8,15 +8,12 @@
 // time.  Components hand-built outside a blueprint (tests, manual wiring)
 // append slots past the blueprint range via `add_slot`.
 //
-// The zero-cost-off contract, in three tiers:
-//  * compile-time off (cmake -DNDPSIM_TELEMETRY=OFF): every increment site
-//    expands to nothing — literally zero instructions in the packet path;
-//  * armed-capable but off (the default): each component holds a
-//    `telemetry_hot_counters* tele_` that stays nullptr until a plane is
-//    attached to the `sim_env` *before* fabric construction, so the only
-//    residue is one never-taken predictable branch per site — bench_eventcore's
-//    `telemetry` section gates that this is within noise of the committed
-//    baseline;
+// The cost contract, in two modes:
+//  * off (the default): each component holds a `telemetry_hot_counters*
+//    tele_` that stays nullptr until a plane is attached to the `sim_env`
+//    *before* fabric construction, so the only residue is one never-taken
+//    predictable branch per site — bench_eventcore's `telemetry` section
+//    gates that this is within noise of the committed baseline;
 //  * on: one pointer-indirect increment per counted event, gated at <=10%
 //    end-to-end overhead on the k=16 NDP permutation.
 //
@@ -44,20 +41,12 @@ namespace ndpsim {
 /// (armed and disarmed together, so the one null check guards both):
 ///   NDPSIM_TELE(++tele_->enq_pkts; tele_->enq_bytes += p.size_bytes);
 ///   NDPSIM_TELE(++tele_rare_->drop_pkts);
-/// With NDPSIM_TELEMETRY_DISABLED the macro (and thus every site) compiles
-/// to nothing.
-#ifdef NDPSIM_TELEMETRY_DISABLED
-#define NDPSIM_TELE(...) \
-  do {                   \
-  } while (false)
-#else
 #define NDPSIM_TELE(...)      \
   do {                        \
     if (tele_ != nullptr) {   \
       __VA_ARGS__;            \
     }                         \
   } while (false)
-#endif
 
 /// Hot half of a slot's counters: the four fields every accepted packet
 /// (enq) and every completion/delivery (deq) touches.  Kept in their own

@@ -145,12 +145,12 @@ INSTANTIATE_TEST_SUITE_P(all_transports, flat_dispatch_identity,
                          });
 
 // ---------------------------------------------------------------------------
-// Layout-vs-seed identity: the packet hot/cold split, the slab packet pool
-// and the devirtualized dequeue tier are memory-layout changes, never
-// semantics changes.  These goldens pin the bitwise FCT record stream (and
-// total event count) of the seeded k=4 permutation for every transport, as
-// produced by the tree *before* those changes; any later divergence means a
-// layout/pool/dequeue change altered simulation behavior.
+// Layout-vs-seed identity: the packet hot/cold split and the slab packet
+// pool are memory-layout changes, never semantics changes.  These goldens
+// pin the bitwise FCT record stream (and total event count) of the seeded
+// k=4 permutation for every transport, as produced by the tree *before*
+// those changes; any later divergence means a layout/pool/dequeue change
+// altered simulation behavior.
 //
 // Regenerate only for an intentional, justified semantic change: run with
 // --gtest_filter='*golden*' — each failure message prints the observed hash.
@@ -211,7 +211,8 @@ INSTANTIATE_TEST_SUITE_P(
 // 90 KB permutation (the pair swap on back_to_back), then from 5 us a 45 KB
 // incast into host 0 from every other host, run to completion and hashed
 // like the FatTree goldens above.  These pin how the small fabrics are wired
-// and routed, whatever builds them.
+// and routed, whatever builds them, and hold flat and per-event virtual
+// dispatch to the same hash.
 // ---------------------------------------------------------------------------
 
 enum class micro_shape { back_to_back, star, leaf_spine };
@@ -256,10 +257,12 @@ workload_result run_micro(sim_env& env, Topo& topo, protocol proto) {
   return out;
 }
 
-workload_result run_micro_workload(micro_shape shape, protocol proto) {
+workload_result run_micro_workload(micro_shape shape, protocol proto,
+                                   bool flat = true) {
   fabric_params fp;
   fp.proto = proto;
   sim_env env(7);
+  env.events.set_flat_dispatch(flat);
   const queue_factory qf = make_queue_factory(env, fp);
   switch (shape) {
     case micro_shape::back_to_back: {
@@ -288,10 +291,13 @@ class micro_topo_golden : public ::testing::TestWithParam<micro_golden_case> {};
 
 TEST_P(micro_topo_golden, fct_records_bitwise_match) {
   const micro_golden_case& c = GetParam();
-  const workload_result got = run_micro_workload(c.shape, c.proto);
-  EXPECT_EQ(hash_workload(got), c.hash)
-      << "observed hash 0x" << std::hex << hash_workload(got) << " for "
-      << to_string(c.shape) << "/" << to_string(c.proto);
+  for (const bool flat : {true, false}) {
+    const workload_result got = run_micro_workload(c.shape, c.proto, flat);
+    EXPECT_EQ(hash_workload(got), c.hash)
+        << "observed hash 0x" << std::hex << hash_workload(got) << " for "
+        << to_string(c.shape) << "/" << to_string(c.proto)
+        << (flat ? " (flat dispatch)" : " (virtual dispatch)");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

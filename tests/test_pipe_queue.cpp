@@ -90,6 +90,39 @@ TEST(drop_tail, byte_capacity_not_packet_count) {
   EXPECT_EQ(q.stats().dropped, 1u);
 }
 
+// Overrides only the scheduling discipline: LIFO service over drop-tail's
+// buffer and admission.
+class lifo_queue final : public drop_tail_queue {
+ public:
+  using drop_tail_queue::drop_tail_queue;
+
+ protected:
+  [[nodiscard]] packet* dequeue_next() override {
+    if (fifo_.empty()) return nullptr;
+    packet* p = fifo_.back();
+    fifo_.pop_back();
+    bytes_ -= p->size_bytes;
+    return p;
+  }
+};
+
+TEST(drop_tail, subclass_dequeue_override_is_honored) {
+  sim_env env;
+  recording_sink sink(env);
+  lifo_queue q(env, gbps(10), 100 * 9000);
+  owned_route r;
+  r.push_back(&q);
+  r.push_back(&sink);
+  // Packet 1 goes straight into service; 2 and 3 wait, and the override
+  // serves the newest first.
+  for (std::uint64_t i = 1; i <= 3; ++i) send_to_next_hop(*make_data(env, &r, 9000, i));
+  env.events.run_all();
+  ASSERT_EQ(sink.count(), 3u);
+  EXPECT_EQ(sink.arrivals()[0].seqno, 1u);
+  EXPECT_EQ(sink.arrivals()[1].seqno, 3u);
+  EXPECT_EQ(sink.arrivals()[2].seqno, 2u);
+}
+
 TEST(ecn_threshold, marks_ect_above_threshold) {
   sim_env env;
   recording_sink sink(env);

@@ -32,13 +32,6 @@
 namespace ndpsim {
 namespace {
 
-#ifdef NDPSIM_TELEMETRY_DISABLED
-#define SKIP_WITHOUT_TELEMETRY() \
-  GTEST_SKIP() << "built with NDPSIM_TELEMETRY=OFF: increments compiled out"
-#else
-#define SKIP_WITHOUT_TELEMETRY() (void)0
-#endif
-
 constexpr link_level kLevels[] = {link_level::host_up,   link_level::tor_up,
                                   link_level::agg_up,    link_level::core_down,
                                   link_level::agg_down,  link_level::tor_down};
@@ -142,7 +135,6 @@ void run_permutation_workload(tele_bed& tb, protocol proto) {
 class telemetry_conservation : public ::testing::TestWithParam<protocol> {};
 
 TEST_P(telemetry_conservation, permutation_conserves_every_component) {
-  SKIP_WITHOUT_TELEMETRY();
   fabric_params fp;
   fp.proto = GetParam();
   tele_bed tb(7, 4, fp);
@@ -166,7 +158,6 @@ INSTANTIATE_TEST_SUITE_P(all_transports, telemetry_conservation,
 class telemetry_leaf_spine : public ::testing::TestWithParam<protocol> {};
 
 TEST_P(telemetry_leaf_spine, incast_conserves_every_component) {
-  SKIP_WITHOUT_TELEMETRY();
   fabric_params fp;
   fp.proto = GetParam();
   sim_env env(7);
@@ -213,7 +204,6 @@ INSTANTIATE_TEST_SUITE_P(all_transports, telemetry_leaf_spine,
 // law (header-size residue, payload accounted by trim_bytes) and, with RTS
 // on, the bounce arm too.
 TEST(telemetry_conservation_incast, ndp_incast_conserves_with_trims) {
-  SKIP_WITHOUT_TELEMETRY();
   fabric_params fp;
   fp.proto = protocol::ndp;
   tele_bed tb(11, 4, fp);
@@ -246,7 +236,6 @@ TEST(telemetry_conservation_incast, ndp_incast_conserves_with_trims) {
 
 // DCTCP incast: exercises the ECN-mark counter against queue_stats.marked.
 TEST(telemetry_conservation_incast, dctcp_incast_counts_ecn_marks) {
-  SKIP_WITHOUT_TELEMETRY();
   fabric_params fp;
   fp.proto = protocol::dctcp;
   tele_bed tb(13, 4, fp);
@@ -273,7 +262,6 @@ TEST(telemetry_conservation_incast, dctcp_incast_counts_ecn_marks) {
 // ---------------------------------------------------------------------------
 
 TEST(telemetry_parallel, merged_plane_bitwise_equal_serial_vs_threaded) {
-  SKIP_WITHOUT_TELEMETRY();
   fabric_params fp;
   fp.proto = protocol::ndp;
   const auto bp = make_fat_tree_blueprint(4, fp);
@@ -357,7 +345,6 @@ TEST(telemetry_collector_test, epoch_ring_wraps_with_explicit_drop_count) {
 // ---------------------------------------------------------------------------
 
 TEST(telemetry_json, summary_and_timeseries_document) {
-  SKIP_WITHOUT_TELEMETRY();
   fabric_params fp;
   fp.proto = protocol::ndp;
   tele_bed tb(7, 4, fp);
@@ -388,7 +375,6 @@ TEST(telemetry_json, summary_and_timeseries_document) {
 // ---------------------------------------------------------------------------
 
 TEST(telemetry_totals, per_kind_totals_match_manual_slot_sum) {
-  SKIP_WITHOUT_TELEMETRY();
   fabric_params fp;
   fp.proto = protocol::ndp;
   tele_bed tb(17, 4, fp);
