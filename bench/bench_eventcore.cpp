@@ -1028,11 +1028,12 @@ fabric_setup_result run_fabric_setup(unsigned k, int rounds) {
     const auto t0 = std::chrono::steady_clock::now();
     fat_tree ft(env, bp, make_queue_factory(env, fp));
     const double inst = seconds_since(t0);
+    std::vector<const route*> storage;
     const auto t1 = std::chrono::steady_clock::now();
     for (std::uint32_t h = 0; h < res.hosts; ++h) {
       const std::uint32_t d = partner(h);
       if (d == h) continue;
-      const path_set ps = ft.paths().sample(env, h, d, kMaxPaths);
+      const path_set ps = ft.paths().sample(env, h, d, kMaxPaths, storage);
       (void)ps;
     }
     const double warm = seconds_since(t1);

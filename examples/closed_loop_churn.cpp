@@ -2,8 +2,8 @@
 //
 // A k=8 FatTree (128 hosts) runs a permutation-style RPC workload: every
 // completed flow is torn down by the `flow_recycler` (transports destroyed,
-// demux entries unbound, sampled path subset returned to the table's pool,
-// flow id recycled) and immediately replaced.  The point of the exercise is
+// demux entries unbound, flow slot and sampled path subset freed) and
+// immediately replaced.  The point of the exercise is
 // the memory profile: after a short warmup, route/flow state must be *flat*
 // no matter how many generations run — route memory stays O(pairs x paths)
 // (the FatPaths fabric-property invariant) and flow state stays
@@ -28,23 +28,17 @@ namespace {
 
 struct mem_snapshot {
   std::size_t route_bytes;     ///< path_table::resident_bytes
-  std::size_t subset_arrays;   ///< sampled subset slots ever created
   std::size_t flow_slots;      ///< factory flow-table high-water
   std::size_t demux_slots;     ///< sum of per-host probe-table sizes
-  std::uint32_t max_flow_id;   ///< id-space high-water
 };
 
 mem_snapshot snapshot(testbed& bed) {
   mem_snapshot s{};
   path_table& pt = bed.topo->paths();
   s.route_bytes = pt.resident_bytes();
-  s.subset_arrays = pt.subset_arrays();
   s.flow_slots = bed.flows->flows().size();
   for (std::uint32_t h = 0; h < bed.topo->n_hosts(); ++h) {
     s.demux_slots += pt.demux(h).table_size();
-  }
-  for (const auto& f : bed.flows->flows()) {
-    if (f != nullptr) s.max_flow_id = std::max(s.max_flow_id, f->id);
   }
   return s;
 }
@@ -87,7 +81,7 @@ int main() {
   recycler_config rc;
   rc.proto = protocol::ndp;
   rc.opts.bytes = 90'000;   // ~10 full packets per RPC
-  rc.opts.max_paths = 8;    // capped subsets: exercises the pooled arrays
+  rc.opts.max_paths = 8;    // capped subsets: each flow owns its arrays
   rc.linger = from_us(500); // drain window before teardown (~many RTTs)
   flow_recycler rec(bed->env, *bed->topo, *bed->flows, rc, pick_pair);
   rec.start(n_hosts);
@@ -98,10 +92,10 @@ int main() {
   const mem_snapshot warm = snapshot(*bed);
   const std::size_t warm_live = bed->flows->live_count();
   std::printf("after %llu generations: %zu flow slots, %zu live, "
-              "%.2f MB route state, %zu subset arrays\n",
+              "%.2f MB route state\n",
               static_cast<unsigned long long>(rec.generations()),
               warm.flow_slots, warm_live,
-              static_cast<double>(warm.route_bytes) / 1e6, warm.subset_arrays);
+              static_cast<double>(warm.route_bytes) / 1e6);
 
   while (rec.generations() < kGenerations + 1 &&
          bed->env.events.run_next_event()) {
@@ -119,14 +113,10 @@ int main() {
   ok &= check(rec.generations() >= kGenerations, ">= 20 flow generations ran");
   ok &= check(done.route_bytes == warm.route_bytes,
               "route memory flat (resident_bytes unchanged)");
-  ok &= check(done.subset_arrays == warm.subset_arrays,
-              "sampled subset arrays pooled (none created after warmup)");
   ok &= check(done.flow_slots == warm.flow_slots,
               "flow table flat (slots recycled, not appended)");
   ok &= check(done.demux_slots <= warm.demux_slots,
               "demux registries flat (unbind shrinks tables)");
-  ok &= check(done.max_flow_id == warm.max_flow_id,
-              "flow-id space flat (ids recycled)");
   ok &= check(bed->flows->live_count() <= warm_live + rec.lingering(),
               "live flows bounded by population + linger window");
 

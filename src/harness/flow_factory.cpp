@@ -65,7 +65,6 @@ class tcp_flow final : public flow {
            std::uint32_t s, std::uint32_t d, const flow_options& o) {
     tcp_config tc;
     tc.mss_bytes = o.mss_bytes;
-    tc.iw_mss = o.tcp_iw_mss;
     tc.min_rto = o.min_rto;
     tc.handshake = o.handshake;
     tc.max_cwnd_mss = o.max_cwnd_mss;
@@ -105,7 +104,6 @@ class mptcp_flow final : public flow {
              std::uint32_t s, std::uint32_t d, const flow_options& o) {
     tcp_config tc;
     tc.mss_bytes = o.mss_bytes;
-    tc.iw_mss = o.tcp_iw_mss;
     tc.min_rto = o.min_rto;
     tc.handshake = o.handshake;
     tc.max_cwnd_mss = o.max_cwnd_mss;
@@ -226,51 +224,39 @@ phost_token_pacer& flow_factory::phost_pacer(std::uint32_t host) {
 flow& flow_factory::create(protocol proto, std::uint32_t src,
                            std::uint32_t dst, const flow_options& opts) {
   NDPSIM_ASSERT(src != dst);
-  // MPTCP subflows use a block of ids.  Recycled blocks (exact span match)
-  // are preferred over fresh ids so long-running churn keeps the id space —
-  // and with it every per-host demux — at its steady-state size.  Taken
-  // from the FRONT of the free queue: the id that has been dead longest is
-  // the one whose stale packets have had the most time to drain.
+  // MPTCP subflows use a block of ids.  Ids are never reused, so a packet
+  // that outlives its flow can only reach an unbound id.
   const std::uint32_t span =
       proto == protocol::mptcp ? opts.subflows + 1 : 1;
+  NDPSIM_ASSERT_MSG(span <= UINT32_MAX - next_flow_id_,
+                    "flow id space exhausted");
+  const std::uint32_t fid = next_flow_id_;
+  next_flow_id_ += span;
   const unsigned subflows =
       static_cast<unsigned>(std::max<std::uint32_t>(1, opts.subflows));
-  std::uint32_t fid;
-  auto freed = free_ids_.find(span);
-  if (freed != free_ids_.end() && !freed->second.empty()) {
-    fid = freed->second.front();
-    freed->second.pop_front();
-  } else {
-    fid = next_flow_id_;
-    next_flow_id_ += span;
-  }
 
-  // The connection's borrowed path view, drawn here so the factory can hand
-  // pooled subsets back to the table when the flow is destroyed.
+  // A capped subset is written into `storage`, which the flow keeps.
+  std::vector<const route*> storage;
   path_set ps;
   const std::size_t path_cap = effective_max_paths(opts);
   switch (proto) {
     case protocol::ndp:
     case protocol::phost:
-      ps = topo_.paths().sample(env_, src, dst, path_cap);
+      ps = topo_.paths().sample(env_, src, dst, path_cap, storage);
       break;
     case protocol::tcp:
     case protocol::dctcp:
-    case protocol::dcqcn: {
+    case protocol::dcqcn:
       // Per-flow ECMP: one path, chosen by "hash" (uniform draw at creation).
-      const std::size_t n = topo_.n_paths(src, dst);
-      const std::size_t path =
-          opts.fixed_path >= 0 ? static_cast<std::size_t>(opts.fixed_path)
-                               : env_.rand_below(n);
-      ps = topo_.paths().single(src, dst, path);
+      ps = topo_.paths().single(src, dst,
+                                env_.rand_below(topo_.n_paths(src, dst)));
       break;
-    }
     case protocol::mptcp:
       // Distinct paths for the subflows (seeded sample without replacement);
       // extra subflows beyond the path count share routes round-robin.
       ps = topo_.paths().sample(
           env_, src, dst,
-          std::min<std::size_t>(subflows, topo_.n_paths(src, dst)));
+          std::min<std::size_t>(subflows, topo_.n_paths(src, dst)), storage);
       break;
   }
 
@@ -300,12 +286,11 @@ flow& flow_factory::create(protocol proto, std::uint32_t src,
       break;
   }
   f->id = fid;
-  f->id_span_ = span;
   f->src = src;
   f->dst = dst;
   f->bytes = opts.bytes;
   f->start_time = opts.start;
-  f->paths = ps;
+  f->path_storage_.swap(storage);  // swap keeps the view's pointers valid
 
   ++live_;
   if (!free_slots_.empty()) {
@@ -323,11 +308,9 @@ flow& flow_factory::create(protocol proto, std::uint32_t src,
 void flow_factory::destroy(flow& f) {
   NDPSIM_ASSERT_MSG(f.slot_ < flows_.size() && flows_[f.slot_].get() == &f,
                     "destroying a flow this factory does not own");
-  f.retire();  // transports first: timers cancelled, demux entries unbound
-  topo_.paths().release(f.paths);  // then the pooled subset arrays
-  free_ids_[f.id_span_].push_back(f.id);
+  f.retire();  // timers cancelled, demux entries unbound
   const std::uint32_t slot = f.slot_;
-  flows_[slot].reset();  // f is dead from here
+  flows_[slot].reset();  // f, its transports and its path subset die here
   free_slots_.push_back(slot);
   --live_;
   ++destroyed_;

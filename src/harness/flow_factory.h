@@ -3,7 +3,6 @@
 // token pacers).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -31,7 +30,6 @@ struct flow_options {
   // TCP family
   simtime_t min_rto = from_ms(200.0);
   bool handshake = true;
-  std::uint32_t tcp_iw_mss = 2;
   std::uint32_t max_cwnd_mss = 1000;
   unsigned subflows = 8;  ///< MPTCP
   // Path selection
@@ -48,7 +46,6 @@ struct flow_options {
   /// working memory (and structural interning) bounded.  Pass SIZE_MAX (or
   /// any cap >= the pair's path count) to force the full set.
   std::size_t max_paths = 0;
-  int fixed_path = -1;        ///< force single-path protocols onto this path
 };
 
 /// Handle for one transfer, whatever the transport underneath.
@@ -73,15 +70,12 @@ class flow {
   [[nodiscard]] virtual ndp_source* ndp_src() { return nullptr; }
   [[nodiscard]] virtual ndp_sink* ndp_snk() { return nullptr; }
 
+  /// Names this transfer alone: the factory never hands an id out twice.
   std::uint32_t id = 0;
   std::uint32_t src = 0;
   std::uint32_t dst = 0;
   std::uint64_t bytes = 0;
   simtime_t start_time = 0;
-  /// The borrowed multipath view the connection runs over; kept on the
-  /// handle so `flow_factory::destroy` can return pooled subset arrays to
-  /// the path table after the transports are disconnected.
-  path_set paths;
 
   /// Completion time relative to the flow's start, in microseconds.
   [[nodiscard]] double fct_us() const {
@@ -91,7 +85,9 @@ class flow {
  private:
   friend class flow_factory;
   std::uint32_t slot_ = UINT32_MAX;  ///< index in the factory's flow table
-  std::uint32_t id_span_ = 1;        ///< ids consumed (MPTCP uses a block)
+  /// The arrays of a capped path subset (`path_table::sample` storage) the
+  /// transports borrow.  A base-class member, so it outlives them.
+  std::vector<const route*> path_storage_;
 };
 
 class flow_factory {
@@ -115,12 +111,12 @@ class flow_factory {
                const flow_options& opts);
 
   /// Create/destroy symmetry (flow recycling): retire the flow's transports
-  /// (cancel timers, leave pacer rings, unbind demux entries), return its
-  /// pooled path subset to the topology's path table, free the flow object
-  /// and recycle its id (block) for a future `create`.  The reference — and
-  /// every pointer to the flow — is dead after this call.  Must not be
-  /// called from inside one of the flow's own callbacks (defer to a
-  /// scheduled event; `flow_recycler` does).
+  /// (cancel timers, leave pacer rings, unbind demux entries) and free its
+  /// table slot.  The id is not reused, so a packet still in flight for it
+  /// can only reach an unbound demux entry.  The reference — and every
+  /// pointer to the flow — is dead after this call.  Must not be called from
+  /// inside one of the flow's own callbacks (defer to a scheduled event;
+  /// `flow_recycler` does).
   void destroy(flow& f);
 
   /// The shared per-host pull pacer (created on demand).
@@ -145,17 +141,10 @@ class flow_factory {
   fabric_instance& topo_;
   std::vector<std::unique_ptr<flow>> flows_;
   std::vector<std::uint32_t> free_slots_;
-  // Recycled flow-id blocks, keyed by block span (MPTCP consumes
-  // `subflows + 1` ids; everything else 1).  Reuse is exact-span so a
-  // recycled block can never partially overlap a live one, and FIFO so a
-  // just-freed id goes to the back of the queue: the longest-dead id is
-  // rebound first, maximizing the time between teardown and reuse that the
-  // stale-drop window relies on.
-  std::unordered_map<std::uint32_t, std::deque<std::uint32_t>> free_ids_;
   std::unordered_map<std::uint32_t, std::unique_ptr<pull_pacer>> pull_pacers_;
   std::unordered_map<std::uint32_t, std::unique_ptr<phost_token_pacer>>
       token_pacers_;
-  std::uint32_t next_flow_id_ = 1;
+  std::uint32_t next_flow_id_ = 1;  ///< only grows: ids are never reused
   std::size_t live_ = 0;
   std::uint64_t destroyed_ = 0;
 };

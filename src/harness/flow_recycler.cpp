@@ -87,12 +87,12 @@ void flow_recycler::do_next_event() {
   while (!retire_queue_.empty() && retire_queue_.front().due <= now) {
     flow* f = retire_queue_.front().f;
     retire_queue_.pop_front();
-    flows_.destroy(*f);  // frees the id this slot's replacement will reuse
+    flows_.destroy(*f);
     ++recycled_;
     if (cfg_.open_rate_per_sec <= 0) {
       // Closed loop: every teardown seeds its replacement.
       const auto [src, dst] = pick_pair_(env_);
-      launch(src, dst, now + cfg_.think_gap);
+      launch(src, dst, now);
     }
   }
 

@@ -2,24 +2,24 @@
 //
 // One-shot experiments create flows and keep every object until the sim_env
 // dies.  Steady-state workloads (closed-loop RPC churn, Poisson arrival
-// sweeps) cannot: over millions of arrivals the flow table, the per-host
-// demux registries and the path table's sampled subset arrays would all grow
-// without bound.  The recycler closes the loop: when a flow completes it
+// sweeps) cannot: over millions of arrivals the flow table and the per-host
+// demux registries would grow without bound.  The recycler closes the loop:
+// when a flow completes it
 //
 //   1. records the FCT (tagged with its churn generation — the epoch),
 //   2. lets the flow *linger* for a drain window so in-flight packets and
 //      control traffic addressed to it still find their endpoints,
 //   3. tears the transport pair down through `flow_factory::destroy`
-//      (timers cancelled, pacer rings left, demux entries unbound, pooled
-//      path subset returned, flow id recycled), and
-//   4. starts the replacement: immediately (closed loop, optional think
-//      gap) or on the next draw of a Poisson arrival process (open loop).
+//      (timers cancelled, pacer rings left, demux entries unbound, flow
+//      slot and path subset freed), and
+//   4. starts the replacement: immediately (closed loop) or on the next
+//      draw of a Poisson arrival process (open loop).
 //
 // Teardown never happens inside a transport callback — completions only
 // queue the flow; the destruction runs from the recycler's own scheduled
-// event.  Stale packets that outlive the linger window are dropped at the
-// demux (`path_table::enable_stale_drop`, armed by the recycler) instead of
-// being misdelivered to the id's next owner.
+// event.  Flow ids are never reused, so stale packets that outlive the
+// linger window reach an unbound id and are dropped at the demux
+// (`path_table::enable_stale_drop`, armed by the recycler).
 #pragma once
 
 #include <cstdint>
@@ -43,9 +43,6 @@ struct recycler_config {
   /// later is dropped as stale at the demux.  A few RTOs covers every
   /// straggler the transports can still produce.
   simtime_t linger = from_ms(2.0);
-  /// Closed loop: delay between a slot's teardown and its replacement's
-  /// start (think time).  0 = back-to-back.
-  simtime_t think_gap = 0;
   /// Open loop: Poisson arrival rate in flows/sec (> 0 switches the
   /// replacement policy from closed-loop to open-loop arrivals).
   double open_rate_per_sec = 0;

@@ -6,6 +6,17 @@
 
 namespace ndpsim {
 
+namespace {
+// §6.1 sizings no caller varies, in packets of the fabric MTU.
+constexpr std::uint64_t kEcnThresholdPkts = 30;  ///< DCTCP sharp marking
+constexpr std::uint64_t kPhostPkts = 8;          ///< pHost's published queue
+constexpr std::uint64_t kRedKminPkts = 20;       ///< DCQCN RED marking start
+constexpr std::uint64_t kRedKmaxPkts = 100;      ///< DCQCN RED marking end
+constexpr double kRedPmax = 0.1;                 ///< marking probability at kmax
+/// DCQCN runs over PFC; this capacity is only a "never drops" backstop.
+constexpr std::uint64_t kLosslessCapacityPkts = 4000;
+}  // namespace
+
 queue_factory make_queue_factory(sim_env& env, const fabric_params& params) {
   // Takes the lazy `name_ref` as-is (no formatting): at k=32 the fabric
   // builds ~100k queues and eager names dominated construction.
@@ -26,12 +37,7 @@ queue_factory make_queue_factory(sim_env& env, const fabric_params& params) {
       case protocol::ndp: {
         ndp_queue_config qc;
         qc.data_capacity_bytes = params.ndp_data_pkts * mtu;
-        qc.header_capacity_bytes = params.ndp_header_bytes != 0
-                                       ? params.ndp_header_bytes
-                                       : qc.data_capacity_bytes;
-        qc.wrr_headers_per_data = params.ndp_wrr;
-        qc.enable_rts = params.ndp_rts;
-        qc.random_trim_position = params.ndp_random_trim;
+        qc.header_capacity_bytes = qc.data_capacity_bytes;
         return std::make_unique<ndp_queue>(env, rate, qc, name);
       }
       case protocol::tcp:
@@ -41,15 +47,14 @@ queue_factory make_queue_factory(sim_env& env, const fabric_params& params) {
       case protocol::dctcp:
         return std::make_unique<ecn_threshold_queue>(
             env, rate, params.droptail_pkts * mtu,
-            params.ecn_threshold_pkts * mtu, name);
+            kEcnThresholdPkts * mtu, name);
       case protocol::dcqcn:
         return std::make_unique<red_ecn_queue>(
-            env, rate, params.lossless_capacity_pkts * mtu,
-            params.red_kmin_pkts * mtu, params.red_kmax_pkts * mtu,
-            params.red_pmax, name);
+            env, rate, kLosslessCapacityPkts * mtu, kRedKminPkts * mtu,
+            kRedKmaxPkts * mtu, kRedPmax, name);
       case protocol::phost:
-        return std::make_unique<drop_tail_queue>(env, rate,
-                                                 params.phost_pkts * mtu, name);
+        return std::make_unique<drop_tail_queue>(env, rate, kPhostPkts * mtu,
+                                                 name);
     }
     NDPSIM_ASSERT_MSG(false, "unknown protocol");
     return nullptr;

@@ -34,9 +34,9 @@ namespace ndpsim {
 /// A delivered packet whose flow has no endpoint is a hard error by default
 /// (a silently dropped packet usually means a wiring bug).  Recycling changes
 /// that: after a flow is torn down, packets already in flight for it may
-/// still arrive, and they must be dropped — not misdelivered to whichever
-/// flow inherits the id next.  `set_stale_pool` opts into that mode: unbound
-/// deliveries are returned to the packet pool and counted instead.
+/// still arrive.  Flow ids are never reused, so such a packet finds no
+/// endpoint however late it arrives.  `set_stale_pool` opts into dropping
+/// it: unbound deliveries are returned to the packet pool and counted.
 class flow_demux final : public packet_sink {
  public:
   void bind(std::uint32_t flow_id, packet_sink* endpoint) {
@@ -109,7 +109,7 @@ class flow_demux final : public packet_sink {
   /// Opt into dropping deliveries for unbound flows (returning the packet to
   /// `pool`) instead of treating them as a wiring bug.  Required once flows
   /// are recycled: packets still in flight when their flow is torn down are
-  /// stale, and must die here rather than reach the id's next owner.
+  /// stale and die here.
   void set_stale_pool(packet_pool* pool) { stale_pool_ = pool; }
   [[nodiscard]] std::uint64_t stale_drops() const { return stale_drops_; }
 
@@ -181,37 +181,25 @@ class flow_demux final : public packet_sink {
 };
 
 /// Borrowed view of a multipath route set: forward/reverse route arrays
-/// (pointers into path_table- or manual_paths-owned storage; fwd[i] and
-/// rev[i] traverse the same switches in opposite directions) plus the demuxes
-/// at the two ends.  Cheap to copy; the owner must outlive every connection
-/// using it.
+/// (pointers into path_table-, flow- or manual_paths-owned storage; fwd[i]
+/// and rev[i] traverse the same switches in opposite directions) plus the
+/// demuxes at the two ends.  Cheap to copy; the owner must outlive every
+/// connection using it.
 ///
 /// Borrow rules (the `path_set` lifetime contract):
-///  * The view is valid from the moment the owner hands it out until the
-///    owner dies — or, for pooled subset views (`pool_token != 0`, produced
-///    by `path_table::sample` when it caps the set), until the subset is
-///    returned via `path_table::release`.  After release the arrays are
-///    recycled for a future flow: a released view (and every copy of it,
-///    including the ones transports stored at connect time) must never be
-///    dereferenced again.
-///  * Release order is therefore: tear the transports down first (cancel
-///    timers, unbind the demux entries), release the subset second.  The
-///    `flow_factory::destroy` / `flow_recycler` path does this.
+///  * The view is valid until the owner of its arrays dies: the path table
+///    for `all`/`single` views, the caller's storage for a capped
+///    `path_table::sample` (a `flow` keeps it beside its transports, so the
+///    transports die first), the builder for `manual_paths`.
 ///  * The `const route*`s *inside* the arrays are interned fabric state and
-///    remain valid for the table's lifetime — only the pointer arrays are
-///    pooled.  A stale packet already in flight keeps a valid route even
-///    after its flow's subset was released.
+///    remain valid for the table's lifetime.  A stale packet already in
+///    flight keeps a valid route even after its flow is gone.
 struct path_set {
   const route* const* fwd = nullptr;
   const route* const* rev = nullptr;
   std::uint32_t n = 0;
   flow_demux* src_demux = nullptr;  ///< terminal of the reverse routes
   flow_demux* dst_demux = nullptr;  ///< terminal of the forward routes
-  /// Non-zero for pooled subset arrays owned by a `path_table`: the handle
-  /// `path_table::release` uses to return the arrays to its free pool.
-  /// Zero for shared (`all`/`single`) and manually built views, whose
-  /// storage is not per-flow and is never released.
-  std::uint32_t pool_token = 0;
 
   [[nodiscard]] std::size_t size() const { return n; }
   [[nodiscard]] bool empty() const { return n == 0; }

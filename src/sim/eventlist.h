@@ -219,7 +219,6 @@ class event_list {
   /// Toggle flat dispatch; when off, every lane event goes through the
   /// per-entry virtual `do_lane_event` instead of the batch handlers.
   void set_flat_dispatch(bool on) { flat_on_ = on; }
-  [[nodiscard]] bool flat_dispatch_enabled() const { return flat_on_; }
 
   struct dispatch_counters {
     std::uint64_t heap_events = 0;      ///< virtual via the heap
@@ -380,20 +379,18 @@ class event_list {
   };
 
   /// Dispatch one candidate: a heap event, a flat lane run, or a single
-  /// virtual lane event.
-  void dispatch_candidate(const candidate& c) {
+  /// virtual lane event.  Returns the number of events dispatched.
+  std::size_t dispatch_candidate(const candidate& c) {
     if (c.lane == kNoLane) {
       dispatch_min();
-      return;
+      return 1;
     }
     const flat_batch_fn handler =
         flat_on_ ? handlers_[static_cast<std::size_t>(lanes_[c.lane]->cls)]
                  : nullptr;
-    if (handler != nullptr) {
-      (void)dispatch_lane_run(c.lane, c.when, handler);
-    } else {
-      dispatch_lane_one(c.lane);
-    }
+    if (handler != nullptr) return dispatch_lane_run(c.lane, c.when, handler);
+    dispatch_lane_one(c.lane);
+    return 1;
   }
 
   [[nodiscard]] static std::uint32_t slot_of(const heap_item& it) {
@@ -639,21 +636,7 @@ class event_list {
     const simtime_t t = c.when;
     std::size_t n = 0;
     for (;;) {
-      if (c.lane == kNoLane) {
-        dispatch_min();
-        ++n;
-      } else {
-        const flat_batch_fn handler =
-            flat_on_
-                ? handlers_[static_cast<std::size_t>(lanes_[c.lane]->cls)]
-                : nullptr;
-        if (handler != nullptr) {
-          n += dispatch_lane_run(c.lane, t, handler);
-        } else {
-          dispatch_lane_one(c.lane);
-          ++n;
-        }
-      }
+      n += dispatch_candidate(c);  // c.when == t throughout the batch
       NDPSIM_ASSERT_MSG(n <= budget, "event budget exhausted");
       c = peek_next();
       if (!c.found || c.when != t) break;

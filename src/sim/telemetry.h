@@ -5,8 +5,7 @@
 // [queue, pipe, pfc?] per directed link, then one demux slot per host), so
 // arming telemetry costs no per-component allocation and a hot-path update
 // is a single indexed increment on a pointer the component cached at arm
-// time.  Components hand-built outside a blueprint (tests, manual wiring)
-// append slots past the blueprint range via `add_slot`.
+// time.
 //
 // The cost contract, in two modes:
 //  * off (the default): each component holds a `telemetry_hot_counters*
@@ -187,8 +186,7 @@ enum class telemetry_kind : std::uint8_t {
 
 /// Registry + counter storage for one simulation.  Pre-sized to the
 /// blueprint's slot count; `arm` marks a slot live and returns the pointer
-/// the component caches.  Slots past the blueprint range (hand-built
-/// components) are appended by `add_slot`.
+/// the component caches.
 ///
 /// The plane is plain memory — no events, no locks.  Under
 /// `parallel_runner` each job owns a private plane; `merge_from` folds job
@@ -210,33 +208,13 @@ class telemetry_plane {
                            const name_pool* names = nullptr)
       : hot_(n_slots), rare_(n_slots), info_(n_slots), names_(names) {}
 
-  /// Mark `slot` live and return its counter halves.  The pointers are
-  /// stable once registration is done: `add_slot` may reallocate the
-  /// arrays, so all arming happens during construction (see add_slot's
-  /// note) and cached pointers are only dereferenced afterwards.
+  /// Mark `slot` live and return its counter halves.  The arrays never
+  /// grow, so the pointers stay valid for the plane's lifetime.
   telemetry_slot arm(std::uint32_t slot, telemetry_kind kind,
                      std::uint8_t level = 0, std::uint64_t rate_bps = 0) {
     NDPSIM_ASSERT_MSG(slot < hot_.size(),
                       "telemetry slot " << slot << " out of range");
     info_[slot] = slot_info{kind, level, rate_bps, true};
-    return telemetry_slot{&hot_[slot], &rare_[slot]};
-  }
-
-  /// Append a slot past the pre-sized range for a component built outside
-  /// the blueprint (manual wiring, tests).  NOTE: appending may reallocate
-  /// the counter arrays, so all `add_slot`/`arm` calls must happen before
-  /// any armed pointer is used — i.e. during construction, which is when
-  /// every registration site runs.
-  std::uint32_t add_slot(telemetry_kind kind, std::uint8_t level = 0,
-                         std::uint64_t rate_bps = 0) {
-    const auto slot = static_cast<std::uint32_t>(hot_.size());
-    hot_.emplace_back();
-    rare_.emplace_back();
-    info_.push_back(slot_info{kind, level, rate_bps, true});
-    return slot;
-  }
-  [[nodiscard]] telemetry_slot slot_counters(std::uint32_t slot) {
-    NDPSIM_ASSERT(slot < hot_.size());
     return telemetry_slot{&hot_[slot], &rare_[slot]};
   }
 

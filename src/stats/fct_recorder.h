@@ -15,8 +15,8 @@ namespace ndpsim {
 class fct_recorder {
  public:
   /// `epoch` tags the record with the flow's churn generation (0 for one-shot
-  /// experiments): with recycled flow ids, (flow_id, epoch) — not flow_id
-  /// alone — identifies one transfer across a long-running run.
+  /// experiments).  `flow_factory` never reuses an id, so within one run
+  /// `flow_id` alone names one transfer.
   void flow_started(std::uint32_t flow_id, simtime_t at, std::uint64_t bytes,
                     std::uint32_t epoch = 0) {
     NDPSIM_ASSERT_MSG(open_.find(flow_id) == open_.end(),

@@ -144,7 +144,8 @@ path_set path_table::all(std::uint32_t src, std::uint32_t dst) {
 }
 
 path_set path_table::sample(sim_env& env, std::uint32_t src, std::uint32_t dst,
-                            std::size_t max_paths) {
+                            std::size_t max_paths,
+                            std::vector<const route*>& storage) {
   pair_entry& e = entry_for(src, dst);
   const std::size_t n = e.n_paths;
   if (max_paths == 0 || max_paths >= n) return all(src, dst);
@@ -161,61 +162,22 @@ path_set path_table::sample(sim_env& env, std::uint32_t src, std::uint32_t dst,
   }
   ensure_paths(e, src, dst, idx.data(), max_paths);
 
-  // Take a free slot of this exact size if one exists (returned by a
-  // recycled flow); the arrays are overwritten in place, so the same memory
-  // serves one live flow after another without growing the deque.
-  std::uint32_t slot_idx;
-  auto pooled = free_subsets_.find(max_paths);
-  if (pooled != free_subsets_.end() && !pooled->second.empty()) {
-    slot_idx = pooled->second.back();
-    pooled->second.pop_back();
-    subsets_[slot_idx].free = false;
-    subsets_[slot_idx].fwd.clear();
-    subsets_[slot_idx].rev.clear();
-  } else {
-    slot_idx = static_cast<std::uint32_t>(subsets_.size());
-    subsets_.emplace_back();
-    subsets_[slot_idx].fwd.reserve(max_paths);
-    subsets_[slot_idx].rev.reserve(max_paths);
-  }
-  subset_slot& s = subsets_[slot_idx];
+  storage.resize(2 * max_paths);
   for (std::size_t i = 0; i < max_paths; ++i) {
     const std::uint32_t p = static_cast<std::uint32_t>(idx[i]);
     if (e.dense()) {
-      s.fwd.push_back(e.dense_fwd[p]);
-      s.rev.push_back(e.dense_rev[p]);
+      storage[i] = e.dense_fwd[p];
+      storage[max_paths + i] = e.dense_rev[p];
     } else {
       const std::uint32_t si = find_slot(e, p);
       NDPSIM_ASSERT(si != UINT32_MAX);
-      s.fwd.push_back(slots_[si].fwd);
-      s.rev.push_back(slots_[si].rev);
+      storage[i] = slots_[si].fwd;
+      storage[max_paths + i] = slots_[si].rev;
     }
   }
-  path_set ps{s.fwd.data(), s.rev.data(),
-              static_cast<std::uint32_t>(max_paths), &demux(src), &demux(dst)};
-  ps.pool_token = slot_idx + 1;  // 0 stays "not pooled"
-  return ps;
-}
-
-void path_table::release(const path_set& ps) {
-  if (ps.pool_token == 0) return;  // shared or manual view: nothing to pool
-  const std::uint32_t slot_idx = ps.pool_token - 1;
-  NDPSIM_ASSERT_MSG(slot_idx < subsets_.size(), "bad subset pool token");
-  subset_slot& s = subsets_[slot_idx];
-  NDPSIM_ASSERT_MSG(!s.free, "subset released twice");
-  NDPSIM_ASSERT_MSG(s.fwd.data() == ps.fwd && s.rev.data() == ps.rev,
-                    "pool token does not match the released view");
-  s.free = true;
-  free_subsets_[s.fwd.size()].push_back(slot_idx);
-}
-
-std::size_t path_table::free_subset_arrays() const {
-  std::size_t n = 0;
-  for (const auto& [size, idxs] : free_subsets_) {
-    (void)size;
-    n += idxs.size();
-  }
-  return n;
+  return path_set{storage.data(), storage.data() + max_paths,
+                  static_cast<std::uint32_t>(max_paths), &demux(src),
+                  &demux(dst)};
 }
 
 path_set path_table::single(std::uint32_t src, std::uint32_t dst,
@@ -258,9 +220,6 @@ std::size_t path_table::resident_bytes() const {
     bytes += e.sparse.capacity() * sizeof(std::pair<std::uint32_t, std::uint32_t>);
     bytes += (e.dense_fwd.capacity() + e.dense_rev.capacity()) *
              sizeof(const route*);
-  }
-  for (const auto& s : subsets_) {
-    bytes += (s.fwd.capacity() + s.rev.capacity()) * sizeof(const route*);
   }
   return bytes;
 }

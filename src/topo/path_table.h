@@ -53,18 +53,13 @@ class path_table {
   /// distinct subsets (each draw advances the env's RNG); only the sampled
   /// paths are interned.
   ///
-  /// A capped subset's pointer arrays come from a free pool (the returned
-  /// view carries a non-zero `pool_token`); hand them back with `release`
-  /// when the flow is torn down, after which the view must not be used.
+  /// A capped subset is written into the caller's `storage` (forward routes,
+  /// then reverse routes) and the view points into it, so it stays valid
+  /// while the caller keeps that vector unmodified.  An uncapped call
+  /// returns the cached full set and leaves `storage` untouched.
   [[nodiscard]] path_set sample(sim_env& env, std::uint32_t src,
-                                std::uint32_t dst, std::size_t max_paths);
-
-  /// Return a sampled subset's pointer arrays to the free pool so a future
-  /// `sample` can reuse them.  No-op for unpooled views (`pool_token == 0`:
-  /// `all`/`single` results, slices, manual sets).  Double release asserts.
-  /// Call only after every transport holding the view has been unbound —
-  /// see the borrow rules in net/path_set.h.
-  void release(const path_set& ps);
+                                std::uint32_t dst, std::size_t max_paths,
+                                std::vector<const route*>& storage);
 
   /// Single-path view (per-flow-ECMP transports: TCP, DCQCN).
   [[nodiscard]] path_set single(std::uint32_t src, std::uint32_t dst,
@@ -90,14 +85,9 @@ class path_table {
   /// Distinct (src, dst, path) routes interned so far (forward + reverse
   /// count as one path).
   [[nodiscard]] std::size_t interned_paths() const { return interned_; }
-  /// Resident bytes of this table's route state: route views + pair/subset
+  /// Resident bytes of this table's route state: route views + pair
   /// pointer arrays (the slot sequences are the blueprint's).
   [[nodiscard]] std::size_t resident_bytes() const;
-  /// Subset pointer-array slots ever created / currently in the free pool.
-  /// Their difference is the number of live sampled subsets: flat over a
-  /// steady-state churn run when flows release on teardown.
-  [[nodiscard]] std::size_t subset_arrays() const { return subsets_.size(); }
-  [[nodiscard]] std::size_t free_subset_arrays() const;
 
  private:
   /// One interned path's route pair.  Lives in the table-wide `slots_`
@@ -138,20 +128,6 @@ class path_table {
   std::unordered_map<std::uint64_t, pair_entry> pairs_;
   std::deque<route> routes_;  // deque: handed-out route*s are pinned
   std::deque<path_slot> slots_;  // deque: single() views point into these
-
-  // Per-sample subset pointer arrays (deque: views stay valid as flows add
-  // more subsets).  Slots are pooled: `release` marks a slot free and
-  // `sample` refills a free slot of matching size before creating a new one,
-  // so steady-state churn holds the slot count at the peak number of
-  // concurrently live subsets instead of growing with every flow arrival.
-  struct subset_slot {
-    std::vector<const route*> fwd, rev;
-    bool free = false;
-  };
-  std::deque<subset_slot> subsets_;
-  // Free slots bucketed by array size (exact-size reuse: closed-loop churn
-  // resamples with the same max_paths, so buckets stay hot).
-  std::unordered_map<std::size_t, std::vector<std::uint32_t>> free_subsets_;
 
   std::vector<std::unique_ptr<flow_demux>> demux_;  // [host], lazy
   packet_pool* stale_pool_ = nullptr;  ///< forwarded to every demux when set

@@ -1,6 +1,5 @@
-// The flow lifecycle engine: create/destroy symmetry, flow-id recycling,
-// pooled path subsets, demux shrink + stale-packet handling, and the
-// closed-loop flow_recycler.
+// The flow lifecycle engine: create/destroy symmetry, never-reused flow ids,
+// demux shrink + stale-packet handling, and the closed-loop flow_recycler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,13 +32,14 @@ fat_tree_config ft_cfg(unsigned k) {
 }
 
 // ---------------------------------------------------------------------------
-// flow_factory create/destroy symmetry and flow-id recycling.
+// flow_factory create/destroy symmetry; flow ids are never reused.
 // ---------------------------------------------------------------------------
 
-TEST(flow_lifecycle, destroy_frees_slot_and_recycles_id) {
+TEST(flow_lifecycle, destroy_frees_slot_and_never_reuses_id) {
   fabric_params fp;
   fp.proto = protocol::ndp;
   auto bed = make_fat_tree_testbed(3, 4, fp);
+  bed->topo->paths().enable_stale_drop(bed->env.pool);  // as the recycler does
   flow_options o;
   o.bytes = 5 * 8936;
 
@@ -49,44 +49,23 @@ TEST(flow_lifecycle, destroy_frees_slot_and_recycles_id) {
   ASSERT_TRUE(a.complete());
   EXPECT_EQ(bed->flows->live_count(), 1u);
 
+  // A's final ACK is still in flight when A is destroyed.
   bed->flows->destroy(a);
   EXPECT_EQ(bed->flows->live_count(), 0u);
   EXPECT_EQ(bed->flows->destroyed_count(), 1u);
 
-  // The replacement reuses both the table slot and the flow id.
+  // The replacement on the same pair reuses the table slot but not the id.
   o.start = bed->env.now();
   flow& b = bed->flows->create(protocol::ndp, 0, 15, o);
-  EXPECT_EQ(b.id, id_a);
+  EXPECT_NE(b.id, id_a);
   EXPECT_EQ(bed->flows->flows().size(), 1u);
 
-  // ...and the recycled id rebinds to the new endpoints: the flow runs to
-  // completion with payload delivered to the *new* sink.
+  // B runs to completion on its own endpoints, and A's straggling ACK dies
+  // at the demux instead of reaching B's source.
   run_until_complete(bed->env, {&b}, bed->env.now() + from_ms(50));
   EXPECT_TRUE(b.complete());
   EXPECT_EQ(b.payload_received(), o.bytes);
-}
-
-TEST(flow_lifecycle, mptcp_id_blocks_recycle_by_exact_span) {
-  fabric_params fp;
-  fp.proto = protocol::mptcp;
-  auto bed = make_fat_tree_testbed(4, 4, fp);
-  flow_options o;
-  o.bytes = 200'000;
-  o.subflows = 4;
-
-  flow& m = bed->flows->create(protocol::mptcp, 0, 15, o);
-  const std::uint32_t block = m.id;  // spans [block, block + 4]
-  run_until_complete(bed->env, {&m}, from_ms(200));
-  ASSERT_TRUE(m.complete());
-  bed->flows->destroy(m);
-
-  // A single-id flow must NOT carve ids out of the recycled 5-wide block...
-  o.start = bed->env.now();
-  flow& s = bed->flows->create(protocol::ndp, 1, 14, o);
-  EXPECT_NE(s.id, block);
-  // ...but the next same-span MPTCP connection takes the whole block back.
-  flow& m2 = bed->flows->create(protocol::mptcp, 2, 13, o);
-  EXPECT_EQ(m2.id, block);
+  EXPECT_EQ(bed->topo->paths().stale_drops(), 1u);
 }
 
 TEST(flow_lifecycle, destroy_unbinds_demux_entries) {
@@ -107,7 +86,7 @@ TEST(flow_lifecycle, destroy_unbinds_demux_entries) {
 }
 
 // ---------------------------------------------------------------------------
-// Stale packets for a dead flow: dropped, not misdelivered.
+// Stale packets for a dead flow: dropped at the demux.
 // ---------------------------------------------------------------------------
 
 TEST(flow_lifecycle, stale_packet_for_dead_flow_is_dropped_when_enabled) {
@@ -149,59 +128,34 @@ TEST(flow_lifecycle, unbound_delivery_still_asserts_without_stale_policy) {
 }
 
 // ---------------------------------------------------------------------------
-// Pooled subset arrays in path_table::sample.
+// Path views need no per-flow storage unless capped.
 // ---------------------------------------------------------------------------
-
-TEST(flow_lifecycle, released_subset_array_is_reused_bitwise) {
-  sim_env env;
-  fat_tree ft(env, ft_cfg(4), droptail_factory(env));
-  path_table& pt = ft.paths();
-
-  path_set a = pt.sample(env, 0, 15, 2);
-  ASSERT_EQ(a.size(), 2u);
-  ASSERT_NE(a.pool_token, 0u);
-  const route* const* storage = a.fwd;
-
-  // A second sample while `a` is live must NOT alias its arrays.
-  path_set b = pt.sample(env, 0, 15, 2);
-  ASSERT_NE(b.pool_token, 0u);
-  EXPECT_NE(b.fwd, a.fwd);
-  EXPECT_EQ(pt.subset_arrays(), 2u);
-
-  // Releasing `a` and sampling the same size reuses `a`'s storage bitwise
-  // (same pointer array, refilled) instead of growing the pool...
-  const route* b0 = b.forward(0);
-  const route* b1 = b.forward(1);
-  pt.release(a);
-  EXPECT_EQ(pt.free_subset_arrays(), 1u);
-  path_set c = pt.sample(env, 0, 15, 2);
-  EXPECT_EQ(c.fwd, storage);
-  EXPECT_EQ(pt.subset_arrays(), 2u);
-  EXPECT_EQ(pt.free_subset_arrays(), 0u);
-
-  // ...and the live set `b` is untouched by the recycling.
-  EXPECT_EQ(b.forward(0), b0);
-  EXPECT_EQ(b.forward(1), b1);
-}
-
-TEST(flow_lifecycle, subset_double_release_asserts) {
-  sim_env env;
-  fat_tree ft(env, ft_cfg(4), droptail_factory(env));
-  path_set a = ft.paths().sample(env, 0, 15, 2);
-  ft.paths().release(a);
-  EXPECT_THROW(ft.paths().release(a), simulation_error);
-}
 
 TEST(flow_lifecycle, uncapped_and_single_views_are_not_pooled) {
   sim_env env;
   fat_tree ft(env, ft_cfg(4), droptail_factory(env));
-  path_set all = ft.paths().all(0, 15);
-  path_set one = ft.paths().single(0, 15, 0);
-  EXPECT_EQ(all.pool_token, 0u);
-  EXPECT_EQ(one.pool_token, 0u);
-  ft.paths().release(all);  // no-ops
-  ft.paths().release(one);
-  EXPECT_EQ(ft.paths().subset_arrays(), 0u);
+  path_table& pt = ft.paths();
+  path_set one = pt.single(0, 15, 0);  // before all(): a view into the slot
+  path_set all = pt.all(0, 15);
+  path_set one_dense = pt.single(0, 15, 0);  // after: into the dense arrays
+  const std::size_t bytes = pt.resident_bytes();
+
+  // Repeat requests hand out the same table-owned arrays and grow nothing.
+  EXPECT_EQ(pt.all(0, 15).fwd, all.fwd);
+  EXPECT_EQ(pt.single(0, 15, 0).fwd, one_dense.fwd);
+  EXPECT_EQ(one_dense.fwd, all.fwd);
+  EXPECT_EQ(pt.resident_bytes(), bytes);
+
+  // Both single views name the interned route pair of path 0.
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one.forward(0), all.forward(0));
+  EXPECT_EQ(one.reverse(0), all.reverse(0));
+
+  // An uncapped sample is the same cached view; caller storage stays unused.
+  std::vector<const route*> storage;
+  EXPECT_EQ(pt.sample(env, 0, 15, 0, storage).fwd, all.fwd);
+  EXPECT_TRUE(storage.empty());
+  EXPECT_EQ(pt.resident_bytes(), bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -260,7 +214,6 @@ TEST(flow_lifecycle, recycler_closed_loop_holds_memory_flat) {
   while (rec.generations() < 1 && bed->env.events.run_next_event()) {
   }
   const std::size_t warm_slots = bed->flows->flows().size();
-  const std::size_t warm_subsets = bed->topo->paths().subset_arrays();
   const std::size_t warm_bytes = bed->topo->paths().resident_bytes();
 
   while (rec.generations() < 5 && bed->env.events.run_next_event()) {
@@ -269,7 +222,6 @@ TEST(flow_lifecycle, recycler_closed_loop_holds_memory_flat) {
 
   EXPECT_GE(rec.flows_recycled(), 4 * pop);
   EXPECT_EQ(bed->flows->flows().size(), warm_slots);
-  EXPECT_EQ(bed->topo->paths().subset_arrays(), warm_subsets);
   EXPECT_EQ(bed->topo->paths().resident_bytes(), warm_bytes);
   EXPECT_LE(bed->flows->live_count(), pop + rec.lingering());
 
@@ -282,7 +234,7 @@ TEST(flow_lifecycle, recycler_closed_loop_holds_memory_flat) {
   EXPECT_GT(fcts.fct_us_epoch(1).size(), 0u);
 }
 
-TEST(flow_lifecycle, recycler_open_loop_poisson_arrivals_recycle_ids) {
+TEST(flow_lifecycle, recycler_open_loop_poisson_arrivals_get_unique_ids) {
   fabric_params fp;
   fp.proto = protocol::tcp;
   auto bed = make_fat_tree_testbed(10, 4, fp);
@@ -308,12 +260,11 @@ TEST(flow_lifecycle, recycler_open_loop_poisson_arrivals_recycle_ids) {
   EXPECT_EQ(rec.flows_started(), 60u);
   EXPECT_GE(rec.fcts().completed(), 55u);  // nearly all arrivals finished
   EXPECT_GE(rec.flows_recycled(), 50u);
-  // Id recycling kept the id space far below one-id-per-arrival.
-  std::uint32_t max_id = 0;
-  for (const auto& f : bed->flows->flows()) {
-    if (f != nullptr) max_id = std::max(max_id, f->id);
+  // Slots are recycled, ids are not: every completed transfer has its own.
+  std::set<std::uint32_t> ids;
+  for (const fct_recorder::record& r : rec.fcts().records()) {
+    EXPECT_TRUE(ids.insert(r.flow_id).second) << "id reused: " << r.flow_id;
   }
-  EXPECT_LT(max_id, 30u);
 }
 
 // Closed-loop churn on k=4: four slots cycling hosts 0-3 -> 8-11 until

@@ -128,9 +128,9 @@ TEST(path_table, sample_draws_random_subset_not_first_n) {
   }
   bool beyond_first_four = false;
   bool subsets_differ = false;
-  path_set prev{};
+  std::vector<const route*> storage, prev;
   for (int trial = 0; trial < 20; ++trial) {
-    path_set ps = ft.paths().sample(env, 0, dst, 4);
+    path_set ps = ft.paths().sample(env, 0, dst, 4, storage);
     ASSERT_EQ(ps.size(), 4u);
     std::set<const route*> distinct;
     for (std::size_t i = 0; i < ps.size(); ++i) {
@@ -140,17 +140,17 @@ TEST(path_table, sample_draws_random_subset_not_first_n) {
     EXPECT_EQ(distinct.size(), 4u) << "sampled paths must be distinct";
     if (trial > 0) {
       for (std::size_t i = 0; i < 4; ++i) {
-        if (prev.forward(i) != ps.forward(i)) subsets_differ = true;
+        if (prev[i] != ps.forward(i)) subsets_differ = true;
       }
     }
-    prev = ps;
+    prev = storage;  // forward routes come first
   }
   EXPECT_TRUE(beyond_first_four)
       << "subset sampling still truncates to the low path indices";
   // Two flows on the same pair can get different subsets.
   EXPECT_TRUE(subsets_differ);
   // Sampled routes are still the interned ones (shared, not copies).
-  path_set ps = ft.paths().sample(env, 0, dst, 4);
+  path_set ps = ft.paths().sample(env, 0, dst, 4, storage);
   path_set full = ft.paths().all(0, dst);
   for (std::size_t i = 0; i < ps.size(); ++i) {
     bool found = false;
@@ -165,7 +165,8 @@ TEST(path_table, sample_is_deterministic_under_the_seed) {
   auto draw = [](std::uint64_t seed) {
     sim_env env(seed);
     fat_tree ft(env, ft_cfg(8), droptail_factory(env));
-    path_set ps = ft.paths().sample(env, 0, 127, 4);
+    std::vector<const route*> storage;
+    path_set ps = ft.paths().sample(env, 0, 127, 4, storage);
     // Compare by structural identity across environments: the index of each
     // path's core_down queue within its level.
     const auto& cores_at = ft.queues_at(link_level::core_down);
@@ -188,11 +189,14 @@ TEST(path_table, sample_of_zero_or_all_returns_cached_full_set) {
   sim_env env(1);
   fat_tree ft(env, ft_cfg(4), droptail_factory(env));
   path_set full = ft.paths().all(0, 15);
-  path_set s0 = ft.paths().sample(env, 0, 15, 0);
-  path_set s_all = ft.paths().sample(env, 0, 15, 99);
+  std::vector<const route*> storage;
+  path_set s0 = ft.paths().sample(env, 0, 15, 0, storage);
+  path_set s_all = ft.paths().sample(env, 0, 15, 99, storage);
   EXPECT_EQ(s0.fwd, full.fwd);
   EXPECT_EQ(s_all.fwd, full.fwd);
   EXPECT_EQ(s0.size(), full.size());
+  // The cached set is returned as is: the caller's storage stays untouched.
+  EXPECT_TRUE(storage.empty());
 }
 
 TEST(path_table, single_returns_view_into_pair_arrays) {

@@ -315,9 +315,9 @@ TEST(telemetry_parallel, merged_plane_bitwise_equal_serial_vs_threaded) {
 
 TEST(telemetry_collector_test, epoch_ring_wraps_with_explicit_drop_count) {
   sim_env env(1);
-  telemetry_plane plane(0);
-  const std::uint32_t slot = plane.add_slot(telemetry_kind::other);
-  telemetry_hot_counters* c = plane.slot_counters(slot).hot;
+  telemetry_plane plane(1);
+  const std::uint32_t slot = 0;
+  telemetry_hot_counters* c = plane.arm(slot, telemetry_kind::queue).hot;
 
   telemetry_collector col(env.events, plane, from_us(10), /*capacity=*/4);
   col.start();  // baseline snapshot at t=0
