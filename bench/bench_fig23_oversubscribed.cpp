@@ -23,6 +23,7 @@
 
 #include "bench_util.h"
 #include "harness/experiments.h"
+#include "sim/telemetry.h"
 #include "workload/closed_loop.h"
 #include "workload/size_distributions.h"
 
@@ -59,10 +60,15 @@ load_result run_load(protocol proto, unsigned conns_per_host) {
   fp.proto = proto;
   fp.mtu_bytes = 1500;  // web traffic: small packets
   const unsigned k = bench::paper_scale() ? 8 : 4;  // 512 or 64 hosts at 4:1
-  auto bed = make_fat_tree_testbed(23, k, fp, /*oversubscription=*/4);
+  // The ToR trim fraction is read from the telemetry plane, which must be
+  // attached before the fabric is built.
+  sim_env env(23);
+  const auto bp = make_fat_tree_blueprint(k, fp, /*oversubscription=*/4);
+  env.telemetry = std::make_shared<telemetry_plane>(bp->n_slots(), bp.get());
+  testbed bed(env, bp, fp);
 
   closed_loop_generator gen(
-      bed->env, bed->topo->n_hosts(), conns_per_host, facebook_web_sizes(),
+      env, bed.topo->n_hosts(), conns_per_host, facebook_web_sizes(),
       from_ms(1),
       [&](std::uint32_t src, std::uint32_t dst, std::uint64_t bytes,
           simtime_t start, std::function<void()> done) {
@@ -72,11 +78,11 @@ load_result run_load(protocol proto, unsigned conns_per_host) {
         o.mss_bytes = 1500;
         o.handshake = false;
         o.min_rto = from_ms(1);
-        flow& f = bed->flows->create(proto, src, dst, o);
+        flow& f = bed.flows->create(proto, src, dst, o);
         f.on_complete(std::move(done));
       });
   gen.start();
-  bed->env.events.run_until(from_ms(bench::paper_scale() ? 120 : 80));
+  env.events.run_until(from_ms(bench::paper_scale() ? 120 : 80));
   gen.stop();
 
   load_result r{};
@@ -85,13 +91,13 @@ load_result run_load(protocol proto, unsigned conns_per_host) {
   r.p90_ms = fct.quantile(0.90) / 1000.0;
   r.p99_ms = fct.quantile(0.99) / 1000.0;
   r.completed = static_cast<double>(gen.fcts().completed());
-  const auto tor_up = bed->topo->aggregate_stats(link_level::tor_up);
+  const auto tor_up = bed.topo->aggregate_stats(link_level::tor_up);
   r.trim_frac_tor =
-      tor_up.arrivals > 0
-          ? static_cast<double>(tor_up.trimmed) /
-                static_cast<double>(tor_up.arrivals)
+      tor_up.enq_pkts > 0
+          ? static_cast<double>(tor_up.trim_pkts) /
+                static_cast<double>(tor_up.enq_pkts)
           : 0.0;
-  r.effective_oversubscription = effective_ratio(*bed->topo);
+  r.effective_oversubscription = effective_ratio(*bed.topo);
   return r;
 }
 

@@ -9,6 +9,7 @@
 
 #include "bench_util.h"
 #include "harness/experiments.h"
+#include "sim/telemetry.h"
 
 namespace ndpsim {
 namespace {
@@ -20,14 +21,19 @@ void BM_loadbalance(benchmark::State& state) {
   permutation_result res;
   double uplink_trim_pct = 0;
   for (auto _ : state) {
-    auto bed = make_fat_tree_testbed(31, bench::default_k(), fp);
+    // Uplink trims are read from the telemetry plane, which must be
+    // attached before the fabric is built.
+    sim_env env(31);
+    const auto bp = make_fat_tree_blueprint(bench::default_k(), fp);
+    env.telemetry = std::make_shared<telemetry_plane>(bp->n_slots(), bp.get());
+    testbed bed(env, bp, fp);
     flow_options o;
     o.mode = mode;
-    res = run_permutation(*bed, protocol::ndp, o, from_ms(3), from_ms(8));
-    const auto tor_up = bed->topo->aggregate_stats(link_level::tor_up);
-    const auto agg_up = bed->topo->aggregate_stats(link_level::agg_up);
-    const std::uint64_t up_arrivals = tor_up.arrivals + agg_up.arrivals;
-    const std::uint64_t up_trims = tor_up.trimmed + agg_up.trimmed;
+    res = run_permutation(bed, protocol::ndp, o, from_ms(3), from_ms(8));
+    const auto tor_up = bed.topo->aggregate_stats(link_level::tor_up);
+    const auto agg_up = bed.topo->aggregate_stats(link_level::agg_up);
+    const std::uint64_t up_arrivals = tor_up.enq_pkts + agg_up.enq_pkts;
+    const std::uint64_t up_trims = tor_up.trim_pkts + agg_up.trim_pkts;
     uplink_trim_pct = up_arrivals > 0
                           ? 100.0 * static_cast<double>(up_trims) /
                                 static_cast<double>(up_arrivals)

@@ -19,6 +19,7 @@
 
 #include "harness/experiments.h"
 #include "harness/flow_recycler.h"
+#include "sim/telemetry.h"
 #include "topo/path_table.h"
 #include "workload/traffic_matrix.h"
 
@@ -56,13 +57,18 @@ int main() {
 
   fabric_params fabric;
   fabric.proto = protocol::ndp;
-  auto bed = make_fat_tree_testbed(/*seed=*/11, kK, fabric);
-  const std::size_t n_hosts = bed->topo->n_hosts();
+  // Stale drops are counted in the telemetry plane, which must be attached
+  // before the fabric is built.
+  sim_env env(/*seed=*/11);
+  const auto bp = make_fat_tree_blueprint(kK, fabric);
+  env.telemetry = std::make_shared<telemetry_plane>(bp->n_slots(), bp.get());
+  testbed bed(env, bp, fabric);
+  const std::size_t n_hosts = bed.topo->n_hosts();
   std::printf("closed-loop churn: k=%u FatTree, %zu hosts, %llu+ generations\n",
               kK, n_hosts, static_cast<unsigned long long>(kGenerations));
 
   // Permutation-style pairs, cycled so every teardown reseeds its slot.
-  const auto matrix = permutation_matrix(bed->env.rng, n_hosts);
+  const auto matrix = permutation_matrix(env.rng, n_hosts);
   std::uint64_t cursor = 0;
   auto pick_pair = [&matrix, &cursor](sim_env&) {
     const std::uint32_t src =
@@ -75,7 +81,7 @@ int main() {
   // (random 8-path subsets would otherwise keep discovering unbuilt path
   // indices for a few dozen generations).
   for (std::uint32_t h = 0; h < n_hosts; ++h) {
-    (void)bed->topo->paths().all(h, matrix[h]);
+    (void)bed.topo->paths().all(h, matrix[h]);
   }
 
   recycler_config rc;
@@ -83,14 +89,14 @@ int main() {
   rc.opts.bytes = 90'000;   // ~10 full packets per RPC
   rc.opts.max_paths = 8;    // capped subsets: each flow owns its arrays
   rc.linger = from_us(500); // drain window before teardown (~many RTTs)
-  flow_recycler rec(bed->env, *bed->topo, *bed->flows, rc, pick_pair);
+  flow_recycler rec(env, *bed.topo, *bed.flows, rc, pick_pair);
   rec.start(n_hosts);
 
   // Warm up two full generations (interning, pool growth), then snapshot.
-  while (rec.generations() < 2 && bed->env.events.run_next_event()) {
+  while (rec.generations() < 2 && env.events.run_next_event()) {
   }
-  const mem_snapshot warm = snapshot(*bed);
-  const std::size_t warm_live = bed->flows->live_count();
+  const mem_snapshot warm = snapshot(bed);
+  const std::size_t warm_live = bed.flows->live_count();
   std::printf("after %llu generations: %zu flow slots, %zu live, "
               "%.2f MB route state\n",
               static_cast<unsigned long long>(rec.generations()),
@@ -98,10 +104,10 @@ int main() {
               static_cast<double>(warm.route_bytes) / 1e6);
 
   while (rec.generations() < kGenerations + 1 &&
-         bed->env.events.run_next_event()) {
+         env.events.run_next_event()) {
   }
   rec.stop();
-  const mem_snapshot done = snapshot(*bed);
+  const mem_snapshot done = snapshot(bed);
 
   std::printf("after %llu generations (%llu flows recycled):\n",
               static_cast<unsigned long long>(rec.generations()),
@@ -117,7 +123,7 @@ int main() {
               "flow table flat (slots recycled, not appended)");
   ok &= check(done.demux_slots <= warm.demux_slots,
               "demux registries flat (unbind shrinks tables)");
-  ok &= check(bed->flows->live_count() <= warm_live + rec.lingering(),
+  ok &= check(bed.flows->live_count() <= warm_live + rec.lingering(),
               "live flows bounded by population + linger window");
 
   const fct_recorder& fcts = rec.fcts();
@@ -130,7 +136,8 @@ int main() {
                 s.size(), s.median(), s.quantile(0.99));
   }
   std::printf("stale packets dropped at demuxes: %llu\n",
-              static_cast<unsigned long long>(bed->topo->paths().stale_drops()));
+              static_cast<unsigned long long>(
+                  env.telemetry->totals(telemetry_kind::demux).stale_drops));
 
   if (!ok) {
     std::printf("FAILED: churn leaked route/flow state\n");

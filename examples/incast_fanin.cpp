@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "harness/experiments.h"
+#include "sim/telemetry.h"
 #include "workload/traffic_matrix.h"
 
 using namespace ndpsim;
@@ -20,17 +21,22 @@ namespace {
 void run(protocol proto) {
   fabric_params fabric;
   fabric.proto = proto;
-  auto bed = make_fat_tree_testbed(7, 8, fabric);
+  // Switch trims are counted in the telemetry plane, which must be attached
+  // before the fabric is built.
+  sim_env env(7);
+  const auto bp = make_fat_tree_blueprint(8, fabric);
+  env.telemetry = std::make_shared<telemetry_plane>(bp->n_slots(), bp.get());
+  testbed bed(env, bp, fabric);
   const std::size_t n = 60;
   const std::uint64_t bytes = 450'000;
   const auto senders =
-      incast_senders(bed->env.rng, bed->topo->n_hosts(), /*receiver=*/0, n);
+      incast_senders(env.rng, bed.topo->n_hosts(), /*receiver=*/0, n);
 
   flow_options opts;
   opts.handshake = false;
   opts.min_rto = from_ms(10);
   const auto res =
-      run_incast(*bed, proto, senders, 0, bytes, opts, from_sec(30));
+      run_incast(bed, proto, senders, 0, bytes, opts, from_sec(30));
 
   const double optimal =
       incast_optimal_us(n, bytes, 9000, gbps(10), from_us(40));
@@ -43,10 +49,10 @@ void run(protocol proto) {
               res.first_fct_us / 1000.0,
               res.last_fct_us / std::max(1.0, res.first_fct_us));
   if (proto == protocol::ndp) {
-    const auto tor_down = bed->topo->aggregate_stats(link_level::tor_down);
+    const auto tor_down = bed.topo->aggregate_stats(link_level::tor_down);
     std::printf("switch trims at ToR->host ports: %llu "
                 "(every one triggered an immediate NACK + later PULL)\n",
-                static_cast<unsigned long long>(tor_down.trimmed));
+                static_cast<unsigned long long>(tor_down.trim_pkts));
     std::printf("retransmissions: %llu after NACK, %llu after "
                 "return-to-sender, %llu after timeout\n",
                 static_cast<unsigned long long>(res.rtx_after_nack),

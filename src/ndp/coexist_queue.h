@@ -37,12 +37,6 @@ class coexist_queue final : public queue_base {
     return ndp_side_->buffered_packets() + tcp_side_->buffered_packets();
   }
 
-  [[nodiscard]] const queue_stats& ndp_stats() const {
-    return ndp_side_->stats();
-  }
-  [[nodiscard]] const queue_stats& tcp_stats() const {
-    return tcp_side_->stats();
-  }
   /// Bytes each class has put on the wire (fairness accounting).
   [[nodiscard]] std::uint64_t ndp_bytes_sent() const { return ndp_sent_; }
   [[nodiscard]] std::uint64_t tcp_bytes_sent() const { return tcp_sent_; }

@@ -7,9 +7,12 @@
 // ahead.  The stages read only `packet`, `route` and the handler's own
 // class; delivery and dequeue go through the vtable like any other call.
 // The bodies are only ever called through the function pointers registered
-// below, so nothing is lost by keeping them out of line.
+// below, so nothing is lost by keeping them out of line.  They live in net/,
+// not sim/, so the event kernel stays ignorant of concrete component types;
+// `install_flat_handlers` is declared in net/sim_env.h, whose constructor
+// calls it.
 
-#include "net/flat_dispatch.h"
+#include "net/sim_env.h"
 
 #include "net/pipe.h"
 #include "net/queue.h"

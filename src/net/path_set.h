@@ -36,7 +36,9 @@ namespace ndpsim {
 /// that: after a flow is torn down, packets already in flight for it may
 /// still arrive.  Flow ids are never reused, so such a packet finds no
 /// endpoint however late it arrives.  `set_stale_pool` opts into dropping
-/// it: unbound deliveries are returned to the packet pool and counted.
+/// it: unbound deliveries are returned to the packet pool and counted as
+/// `stale_drops` in the demux's telemetry slot, when a plane armed it (the
+/// demux keeps no counter of its own).
 class flow_demux final : public packet_sink {
  public:
   void bind(std::uint32_t flow_id, packet_sink* endpoint) {
@@ -111,7 +113,6 @@ class flow_demux final : public packet_sink {
   /// are recycled: packets still in flight when their flow is torn down are
   /// stale and die here.
   void set_stale_pool(packet_pool* pool) { stale_pool_ = pool; }
-  [[nodiscard]] std::uint64_t stale_drops() const { return stale_drops_; }
 
   /// Arm (or disarm) this demux's telemetry slot: enq = terminal
   /// deliveries, deq = packets handed to a bound endpoint, stale_drops =
@@ -120,7 +121,8 @@ class flow_demux final : public packet_sink {
     tele_ = t.hot;
     tele_rare_ = t.rare;
   }
-  /// Combined snapshot of this demux's slot (all-zero when unarmed).
+  /// Combined snapshot of this demux's slot; throws `simulation_error` when
+  /// no plane armed it.
   [[nodiscard]] telemetry_counters telemetry() const {
     return combine_telemetry(tele_, tele_rare_);
   }
@@ -133,7 +135,6 @@ class flow_demux final : public packet_sink {
       NDPSIM_ASSERT_MSG(stale_pool_ != nullptr,
                         "no endpoint bound for flow " << p.flow_id
                                                       << " at host demux");
-      ++stale_drops_;
       NDPSIM_TELE(++tele_rare_->stale_drops);
       stale_pool_->release(&p);
       return;
@@ -175,7 +176,6 @@ class flow_demux final : public packet_sink {
   std::vector<slot> slots_;  ///< power-of-two size
   std::size_t bound_ = 0;
   packet_pool* stale_pool_ = nullptr;  ///< non-null = drop unbound deliveries
-  std::uint64_t stale_drops_ = 0;
   telemetry_hot_counters* tele_ = nullptr;  ///< armed slot; nullptr = off
   telemetry_rare_counters* tele_rare_ = nullptr;  ///< armed with tele_
 };

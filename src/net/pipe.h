@@ -71,7 +71,8 @@ class pipe final : public packet_sink, public event_source {
   /// Arm (or disarm) this pipe's telemetry slot.  A pipe never drops,
   /// trims or marks, so only the hot half is kept.
   void set_telemetry(telemetry_slot t) { tele_ = t.hot; }
-  /// Combined snapshot of this pipe's slot (all-zero when unarmed).
+  /// Combined snapshot of this pipe's slot; throws `simulation_error` when
+  /// no plane armed it.
   [[nodiscard]] telemetry_counters telemetry() const {
     return combine_telemetry(tele_, nullptr);
   }

@@ -22,6 +22,11 @@
 // Completion logic itself is the non-virtual `service_complete` — identical
 // from the flat batch handler, the per-entry lane path, and the heap
 // fallback.
+//
+// Counting: a queue keeps no statistics of its own.  Arrivals, departures,
+// drops, trims, bounces and ECN marks are counted only in the telemetry slot
+// the fabric armed it with (sim/telemetry.h); an unarmed queue counts
+// nothing, and reading its counters throws.
 #pragma once
 
 #include <cstdint>
@@ -35,17 +40,6 @@
 #include "sim/telemetry.h"
 
 namespace ndpsim {
-
-/// Per-queue statistics, kept by the base class.
-struct queue_stats {
-  std::uint64_t arrivals = 0;
-  std::uint64_t forwarded = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t trimmed = 0;
-  std::uint64_t bounced = 0;
-  std::uint64_t marked = 0;
-  std::uint64_t bytes_forwarded = 0;
-};
 
 class queue_base : public packet_sink, public event_source {
   // coexist_queue composes two child queues and drives their (protected)
@@ -62,7 +56,6 @@ class queue_base : public packet_sink, public event_source {
   }
 
   void receive(packet& p) final {
-    ++stats_.arrivals;
     NDPSIM_TELE(++tele_->enq_pkts; tele_->enq_bytes += p.size_bytes);
     enqueue_arrival(p);
     try_start_service();
@@ -90,7 +83,6 @@ class queue_base : public packet_sink, public event_source {
   [[nodiscard]] bool busy() const { return serving_ != nullptr; }
 
   [[nodiscard]] linkspeed_bps rate() const { return rate_; }
-  [[nodiscard]] const queue_stats& stats() const { return stats_; }
 
   /// Called just before a packet leaves the queue (PFC buffer accounting).
   void set_depart_hook(std::function<void(packet&)> hook) {
@@ -114,7 +106,8 @@ class queue_base : public packet_sink, public event_source {
     tele_ = t.hot;
     tele_rare_ = t.rare;
   }
-  /// Combined snapshot of this queue's slot (all-zero when unarmed).
+  /// Combined snapshot of this queue's slot; throws `simulation_error` when
+  /// no plane armed it.
   [[nodiscard]] telemetry_counters telemetry() const {
     return combine_telemetry(tele_, tele_rare_);
   }
@@ -156,7 +149,6 @@ class queue_base : public packet_sink, public event_source {
   }
 
   void drop(packet& p) {
-    ++stats_.dropped;
     NDPSIM_TELE(++tele_rare_->drop_pkts; tele_rare_->drop_bytes +=
                                          p.size_bytes);
     env_.pool.release(&p);
@@ -165,18 +157,15 @@ class queue_base : public packet_sink, public event_source {
   /// (old size - kHeaderBytes): the trimmed packet stays resident at header
   /// size, so this is the only record of the bytes that left the queue here.
   void count_trim(std::uint64_t removed_bytes) {
-    ++stats_.trimmed;
     NDPSIM_TELE(++tele_rare_->trim_pkts; tele_rare_->trim_bytes +=
                                          removed_bytes);
   }
   /// `p` is leaving sideways onto the reverse route (return-to-sender).
   void count_bounce(const packet& p) {
-    ++stats_.bounced;
     NDPSIM_TELE(++tele_rare_->bounce_pkts; tele_rare_->bounce_bytes +=
                                            p.size_bytes);
   }
   void count_mark() {
-    ++stats_.marked;
     NDPSIM_TELE(++tele_rare_->mark_pkts);
   }
 
@@ -189,8 +178,6 @@ class queue_base : public packet_sink, public event_source {
     NDPSIM_ASSERT_MSG(serving_ != nullptr, "queue service event with no packet");
     packet* p = serving_;
     serving_ = nullptr;
-    ++stats_.forwarded;
-    stats_.bytes_forwarded += p->size_bytes;
     NDPSIM_TELE(++tele_->deq_pkts; tele_->deq_bytes += p->size_bytes);
     if (on_depart_) on_depart_(*p);
     send_to_next_hop(*p);
@@ -205,7 +192,6 @@ class queue_base : public packet_sink, public event_source {
     std::uint32_t size = UINT32_MAX, lane = event_list::kNoLane;
     simtime_t st = 0;
   } svc_[2];
-  queue_stats stats_;
   std::function<void(packet&)> on_depart_;
 };
 

@@ -26,12 +26,15 @@ struct sim_env {
   std::mt19937_64 rng;
   packet_pool pool;
 
-  /// Optional telemetry plane for this simulation.  Attach BEFORE building
-  /// the fabric: registration happens at component construction (queues,
-  /// pipes) and at demux mount time, and components built while this is
-  /// null simply stay unarmed — the "off" mode of the telemetry cost
-  /// contract (see sim/telemetry.h).  shared_ptr so a `parallel_runner`
-  /// job's plane outlives its env on the experiment outcome.
+  /// Optional telemetry plane for this simulation, and the only store of
+  /// fabric counters (queue drops, trims and marks; pipe and demux
+  /// deliveries; stale drops).  Attach BEFORE building the fabric:
+  /// registration happens at component construction (queues, pipes) and at
+  /// demux mount time, and components built while this is null stay
+  /// unarmed — the "off" mode of the telemetry cost contract (see
+  /// sim/telemetry.h): they count nothing, and reading their counters
+  /// throws.  shared_ptr so a `parallel_runner` job's plane outlives its env
+  /// on the experiment outcome.
   std::shared_ptr<telemetry_plane> telemetry;
 
   [[nodiscard]] simtime_t now() const { return events.now(); }

@@ -146,7 +146,9 @@ class event_list {
   [[nodiscard]] std::size_t pending() const {
     return heap_.size() + lane_pending_;
   }
-  [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
+  [[nodiscard]] std::uint64_t events_processed() const {
+    return stats_.heap_events + stats_.lane_events;
+  }
 
   /// Schedule `src` to run at absolute time `when` (must not be in the past).
   timer_handle schedule_at(event_source& src, simtime_t when) {
@@ -570,7 +572,6 @@ class event_list {
       sift_down(0);
     }
     free_slot(slot);
-    ++processed_;
     ++stats_.heap_events;
     src->do_next_event();
   }
@@ -584,7 +585,6 @@ class event_list {
     --lane_pending_;
     if (ln.fifo.empty()) deactivate_lane(lane_id);
     now_ = e.when;
-    ++processed_;
     ++stats_.lane_events;
     e.src->do_lane_event(e.payload);
   }
@@ -621,7 +621,6 @@ class event_list {
     NDPSIM_ASSERT(m > 0);
     lane_pending_ -= m;
     now_ = t;
-    processed_ += m;
     stats_.lane_events += m;
     stats_.flat_events += m;
     ++stats_.flat_runs;
@@ -661,7 +660,6 @@ class event_list {
 
   simtime_t now_ = 0;
   std::uint64_t seq_ = 0;
-  std::uint64_t processed_ = 0;
 };
 
 }  // namespace ndpsim

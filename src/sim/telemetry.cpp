@@ -33,19 +33,7 @@ telemetry_counters telemetry_plane::totals(telemetry_kind kind) const {
   telemetry_counters sum;
   for (std::size_t i = 0; i < hot_.size(); ++i) {
     if (!info_[i].armed || info_[i].kind != kind) continue;
-    const telemetry_counters c = combine_telemetry(&hot_[i], &rare_[i]);
-    sum.enq_pkts += c.enq_pkts;
-    sum.enq_bytes += c.enq_bytes;
-    sum.deq_pkts += c.deq_pkts;
-    sum.deq_bytes += c.deq_bytes;
-    sum.drop_pkts += c.drop_pkts;
-    sum.drop_bytes += c.drop_bytes;
-    sum.trim_pkts += c.trim_pkts;
-    sum.trim_bytes += c.trim_bytes;
-    sum.bounce_pkts += c.bounce_pkts;
-    sum.bounce_bytes += c.bounce_bytes;
-    sum.mark_pkts += c.mark_pkts;
-    sum.stale_drops += c.stale_drops;
+    sum.add(combine_telemetry(&hot_[i], &rare_[i]));
   }
   return sum;
 }

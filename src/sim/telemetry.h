@@ -7,12 +7,16 @@
 // is a single indexed increment on a pointer the component cached at arm
 // time.
 //
-// The cost contract, in two modes:
+// The plane is the simulator's only store of fabric counters: queues, pipes
+// and demuxes keep none of their own.  The cost contract, in two modes:
 //  * off (the default): each component holds a `telemetry_hot_counters*
 //    tele_` that stays nullptr until a plane is attached to the `sim_env`
-//    *before* fabric construction, so the only residue is one never-taken
-//    predictable branch per site — bench_eventcore's `telemetry` section
-//    gates that this is within noise of the committed baseline;
+//    *before* fabric construction.  Nothing is counted; the only residue is
+//    one never-taken predictable branch per site — bench_eventcore's
+//    `telemetry` section gates that this is within noise of the committed
+//    baseline.  Reading an unarmed component's counters throws
+//    `simulation_error`, so a "nothing dropped" check cannot pass on
+//    counters that were never kept;
 //  * on: one pointer-indirect increment per counted event, gated at <=10%
 //    end-to-end overhead on the k=16 NDP permutation.
 //
@@ -146,20 +150,39 @@ struct telemetry_counters {
            stale_drops == 0;
   }
 
+  void add(const telemetry_counters& o) {
+    enq_pkts += o.enq_pkts;
+    enq_bytes += o.enq_bytes;
+    deq_pkts += o.deq_pkts;
+    deq_bytes += o.deq_bytes;
+    drop_pkts += o.drop_pkts;
+    drop_bytes += o.drop_bytes;
+    trim_pkts += o.trim_pkts;
+    trim_bytes += o.trim_bytes;
+    bounce_pkts += o.bounce_pkts;
+    bounce_bytes += o.bounce_bytes;
+    mark_pkts += o.mark_pkts;
+    stale_drops += o.stale_drops;
+  }
+
   bool operator==(const telemetry_counters&) const = default;
 };
 
-/// Zip the two halves into the combined view (either pointer may be null —
-/// an unarmed component reads as all-zero).
+/// Zip the two halves into the combined view.  `h` is the armed flag: a
+/// null `h` is a component no plane armed, and reading it throws
+/// `simulation_error`.  A null `r` (pipes keep only the hot half) reads as
+/// zero rare counters.
 [[nodiscard]] inline telemetry_counters combine_telemetry(
     const telemetry_hot_counters* h, const telemetry_rare_counters* r) {
+  NDPSIM_ASSERT_MSG(h != nullptr,
+                    "counters read from a component no telemetry plane "
+                    "armed (attach sim_env::telemetry before building the "
+                    "fabric)");
   telemetry_counters c;
-  if (h != nullptr) {
-    c.enq_pkts = h->enq_pkts;
-    c.enq_bytes = h->enq_bytes;
-    c.deq_pkts = h->deq_pkts;
-    c.deq_bytes = h->deq_bytes;
-  }
+  c.enq_pkts = h->enq_pkts;
+  c.enq_bytes = h->enq_bytes;
+  c.deq_pkts = h->deq_pkts;
+  c.deq_bytes = h->deq_bytes;
   if (r != nullptr) {
     c.drop_pkts = r->drop_pkts;
     c.drop_bytes = r->drop_bytes;

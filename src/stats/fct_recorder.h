@@ -32,7 +32,6 @@ class fct_recorder {
     NDPSIM_ASSERT(fct >= 0);
     done_.push_back(record{flow_id, it->second.start, at, it->second.bytes,
                            it->second.epoch});
-    fct_us_.add(to_us(fct));
     open_.erase(it);
   }
 
@@ -49,7 +48,6 @@ class fct_recorder {
   /// namespaced per experiment, so collisions across merged runs are fine).
   void merge_from(const fct_recorder& other) {
     done_.insert(done_.end(), other.done_.begin(), other.done_.end());
-    for (double v : other.fct_us_.raw()) fct_us_.add(v);
     max_epoch_ = std::max(max_epoch_, other.max_epoch_);
   }
 
@@ -73,8 +71,13 @@ class fct_recorder {
   }
   [[nodiscard]] std::size_t still_open() const { return open_.size(); }
   [[nodiscard]] const std::vector<record>& records() const { return done_; }
-  /// All completion times, microseconds.
-  [[nodiscard]] const sample_set& fct_us() const { return fct_us_; }
+  /// All completion times, microseconds, in completion order (built from
+  /// `records()`, the one store of completions).
+  [[nodiscard]] sample_set fct_us() const {
+    sample_set s;
+    for (const record& r : done_) s.add(to_us(r.end - r.start));
+    return s;
+  }
   /// Completion time of the last flow to finish, microseconds since t=0.
   [[nodiscard]] double last_completion_us() const;
 
@@ -86,7 +89,6 @@ class fct_recorder {
   };
   std::unordered_map<std::uint32_t, info> open_;
   std::vector<record> done_;
-  sample_set fct_us_;
   std::uint32_t max_epoch_ = 0;
 };
 

@@ -96,18 +96,9 @@ void fabric_instance::bind_demux_slot(std::uint32_t host, flow_demux* d) {
   }
 }
 
-queue_stats fabric_instance::aggregate_stats(link_level level) const {
-  queue_stats total;
-  for (const queue_base* q : by_level_[static_cast<std::size_t>(level)]) {
-    const queue_stats& s = q->stats();
-    total.arrivals += s.arrivals;
-    total.forwarded += s.forwarded;
-    total.dropped += s.dropped;
-    total.trimmed += s.trimmed;
-    total.bounced += s.bounced;
-    total.marked += s.marked;
-    total.bytes_forwarded += s.bytes_forwarded;
-  }
+telemetry_counters fabric_instance::aggregate_stats(link_level level) const {
+  telemetry_counters total;
+  for (const queue_base* q : queues_at(level)) total.add(q->telemetry());
   return total;
 }
 

@@ -13,6 +13,12 @@
 // Every fabric is an instance: `fat_tree` (topo/fat_tree.h) and the micro
 // testbeds (topo/micro_topo.h) are thin constructors over their blueprints.
 //
+// Counters: the fabric's queues, pipes and demuxes keep none of their own.
+// When the env carries a telemetry plane, each is armed with its blueprint
+// slot (queues and pipes at construction, demuxes when they mount), and that
+// slot is the only place its events are counted; `aggregate_stats` and
+// `telemetry_plane::totals` read it.
+//
 // Lifetime: the instance holds a shared_ptr keeping the blueprint alive;
 // the instance itself must outlive every flow connected over it (its
 // `path_table` holds routes into the sink table).
@@ -63,8 +69,11 @@ class fabric_instance {
   /// the host's demux slot, where structural routes end.
   void bind_demux_slot(std::uint32_t host, flow_demux* d);
 
-  /// Summed queue stats over all queues at one level (e.g. trims on uplinks).
-  [[nodiscard]] queue_stats aggregate_stats(link_level level) const;
+  /// Telemetry counters summed over all queues at one level (e.g. trims on
+  /// uplinks).  The queues' slots are the only counters kept, so this needs
+  /// a plane attached to the env before the fabric was built; reading an
+  /// unarmed queue throws `simulation_error`.
+  [[nodiscard]] telemetry_counters aggregate_stats(link_level level) const;
   /// All queues at a level (test/bench introspection), indexed like the
   /// blueprint's per-level flat link indices.
   [[nodiscard]] const std::vector<queue_base*>& queues_at(

@@ -34,14 +34,6 @@ void path_table::enable_stale_drop(packet_pool& pool) {
   }
 }
 
-std::uint64_t path_table::stale_drops() const {
-  std::uint64_t n = 0;
-  for (const auto& d : demux_) {
-    if (d != nullptr) n += d->stale_drops();
-  }
-  return n;
-}
-
 path_table::pair_entry& path_table::entry_for(std::uint32_t src,
                                               std::uint32_t dst) {
   auto [it, fresh] = pairs_.try_emplace(pair_key(src, dst));

@@ -76,10 +76,10 @@ class path_table {
 
   /// Recycling mode: deliveries for unbound flows at any of this table's
   /// demuxes (stale packets of torn-down flows) are dropped back into `pool`
-  /// instead of asserting.  Applies to existing and future demuxes.
+  /// instead of asserting.  Applies to existing and future demuxes.  The
+  /// drops are counted only in an attached telemetry plane:
+  /// `totals(telemetry_kind::demux).stale_drops` sums them over the fabric.
   void enable_stale_drop(packet_pool& pool);
-  /// Stale packets dropped across all demuxes.
-  [[nodiscard]] std::uint64_t stale_drops() const;
 
   // --- introspection (tests, benches) -----------------------------------
   /// Distinct (src, dst, path) routes interned so far (forward + reverse

@@ -31,6 +31,7 @@ TEST(coexist_queue, classifies_by_protocol) {
   sim_env env;
   recording_sink sink(env);
   coexist_queue q(env, gbps(10), small_cfg());
+  const auto tp = testing::arm(q);
   q.set_paused(true);
   owned_route r;
   r.push_back(&q);
@@ -42,7 +43,8 @@ TEST(coexist_queue, classifies_by_protocol) {
   t->next_hop = 0;
   send_to_next_hop(*t);
   send_to_next_hop(*make_data(env, &r, 9000, 1));  // ndp_data
-  EXPECT_EQ(q.tcp_stats().arrivals, 0u);  // stats live on the children
+  // The port and both children share one slot: each arrival counts once.
+  EXPECT_EQ(q.telemetry().enq_pkts, 2u);
   EXPECT_EQ(q.buffered_packets(), 2u);
   q.set_paused(false);
   env.events.run_all();
@@ -55,12 +57,13 @@ TEST(coexist_queue, ndp_side_still_trims) {
   coexist_config cfg = small_cfg();
   cfg.ndp.data_capacity_bytes = 9000;  // one packet
   coexist_queue q(env, gbps(10), cfg);
+  const auto tp = testing::arm(q);
   q.set_paused(true);
   owned_route r;
   r.push_back(&q);
   r.push_back(&sink);
   for (std::uint64_t i = 1; i <= 3; ++i) send_to_next_hop(*make_data(env, &r, 9000, i));
-  EXPECT_EQ(q.ndp_stats().trimmed, 2u);
+  EXPECT_EQ(q.telemetry().trim_pkts, 2u);
   q.set_paused(false);
   env.events.run_all();
   EXPECT_EQ(sink.count(), 3u);  // nothing lost, two arrived as headers
@@ -72,6 +75,7 @@ TEST(coexist_queue, tcp_side_still_drops) {
   coexist_config cfg = small_cfg();
   cfg.tcp_capacity_bytes = 2 * 9000;
   coexist_queue q(env, gbps(10), cfg);
+  const auto tp = testing::arm(q);
   q.set_paused(true);
   owned_route r;
   r.push_back(&q);
@@ -85,7 +89,7 @@ TEST(coexist_queue, tcp_side_still_drops) {
     t->next_hop = 0;
     send_to_next_hop(*t);
   }
-  EXPECT_EQ(q.tcp_stats().dropped, 2u);
+  EXPECT_EQ(q.telemetry().drop_pkts, 2u);
   q.set_paused(false);
   env.events.run_all();
   EXPECT_EQ(sink.count(), 2u);

@@ -13,6 +13,7 @@ TEST(cp_queue, trims_arriving_packet_when_full) {
   sim_env env;
   recording_sink sink(env);
   cp_queue q(env, gbps(10), 2 * 9000);
+  const auto tp = testing::arm(q);
   q.set_paused(true);
   owned_route r;
   r.push_back(&q);
@@ -21,7 +22,7 @@ TEST(cp_queue, trims_arriving_packet_when_full) {
   q.set_paused(false);
   env.events.run_all();
   ASSERT_EQ(sink.count(), 4u);
-  EXPECT_EQ(q.stats().trimmed, 2u);
+  EXPECT_EQ(q.telemetry().trim_pkts, 2u);
   // FIFO: headers arrive *after* the queued data — no priority treatment
   // (this is exactly what NDP's priority queue fixes).
   EXPECT_EQ(sink.arrivals()[0].flags & pkt_flag::trimmed, 0);
@@ -38,6 +39,7 @@ TEST(cp_queue, headers_always_admitted) {
   recording_sink sink(env);
   cp_queue q(env, gbps(10), 9000);  // one data packet of buffer
   q.set_paused(true);
+  const auto tp = testing::arm(q);
   owned_route r;
   r.push_back(&q);
   r.push_back(&sink);
@@ -50,7 +52,7 @@ TEST(cp_queue, headers_always_admitted) {
   q.set_paused(false);
   env.events.run_all();
   EXPECT_EQ(sink.count(), 5u);
-  EXPECT_EQ(q.stats().dropped, 0u);
+  EXPECT_EQ(q.telemetry().drop_pkts, 0u);
   EXPECT_EQ(env.pool.outstanding(), 0u);
 }
 
@@ -60,6 +62,7 @@ TEST(cp_queue, under_overload_headers_eat_goodput) {
   sim_env env;
   recording_sink sink(env);
   cp_queue q(env, gbps(10), 8 * 9000);
+  const auto tp = testing::arm(q);
   owned_route r;
   r.push_back(&q);
   r.push_back(&sink);
@@ -72,7 +75,7 @@ TEST(cp_queue, under_overload_headers_eat_goodput) {
     }
   }
   env.events.run_all();
-  EXPECT_GT(q.stats().trimmed, 1000u);
+  EXPECT_GT(q.telemetry().trim_pkts, 1000u);
   std::uint64_t data = 0, hdrs = 0;
   for (const auto& a : sink.arrivals()) {
     if ((a.flags & pkt_flag::trimmed) != 0) {

@@ -6,6 +6,7 @@
 #include "net/lossless.h"
 #include "topo/micro_topo.h"
 #include "topo/path_table.h"
+#include "test_util.h"
 
 namespace ndpsim {
 namespace {
@@ -84,6 +85,8 @@ TEST(dcqcn, rate_recovers_after_congestion_clears) {
 
 TEST(dcqcn, two_flows_converge_to_fair_share_without_loss) {
   sim_env env(17);
+  testing::attach_plane(
+      env, fabric_blueprint::single_switch(3, gbps(10), from_us(1))->n_slots());
   single_switch star(env, 3, gbps(10), from_us(1), red_factory(env, 3, 10));
   qconn a(env, star, 0, 2, 0, 1);
   qconn b(env, star, 1, 2, 0, 2);
@@ -94,7 +97,7 @@ TEST(dcqcn, two_flows_converge_to_fair_share_without_loss) {
   const double ra = static_cast<double>(a.sink.payload_received() - a0);
   const double rb = static_cast<double>(b.sink.payload_received() - b0);
   EXPECT_NEAR(ra / (ra + rb), 0.5, 0.15);
-  EXPECT_EQ(star.switch_port(2).stats().dropped, 0u);  // lossless fabric
+  EXPECT_EQ(star.switch_port(2).telemetry().drop_pkts, 0u);  // lossless fabric
   const double total_gb = (ra + rb) * 8 / to_sec(from_ms(40)) / 1e9;
   EXPECT_GT(total_gb, 8.0);
 }

@@ -5,6 +5,7 @@
 #include "tcp/tcp_sink.h"
 #include "topo/micro_topo.h"
 #include "topo/path_table.h"
+#include "test_util.h"
 
 namespace ndpsim {
 namespace {
@@ -36,14 +37,16 @@ struct dconn {
 
 TEST(dctcp, sets_ect_and_reacts_to_marks_without_loss) {
   sim_env env(3);
+  testing::attach_plane(
+      env, fabric_blueprint::single_switch(3, gbps(10), from_us(1))->n_slots());
   single_switch star(env, 3, gbps(10), from_us(1), ecn_factory(env, 200, 3));
   dconn a(env, star, 0, 2, 0, 1);
   dconn b(env, star, 1, 2, 0, 2);
   env.events.run_until(from_ms(20));
   EXPECT_GT(a.source.stats().ecn_echoes, 0u);
   // DCTCP keeps the shared queue bounded near K, so no drops at all.
-  EXPECT_EQ(star.switch_port(2).stats().dropped, 0u);
-  EXPECT_GT(star.switch_port(2).stats().marked, 0u);
+  EXPECT_EQ(star.switch_port(2).telemetry().drop_pkts, 0u);
+  EXPECT_GT(star.switch_port(2).telemetry().mark_pkts, 0u);
   EXPECT_EQ(a.source.stats().timeouts + b.source.stats().timeouts, 0u);
 }
 

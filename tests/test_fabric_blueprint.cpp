@@ -144,6 +144,8 @@ TEST(fabric_blueprint, structural_paths_intern_once_across_instances) {
 TEST(fabric_blueprint, instances_of_one_blueprint_never_alias_mutable_state) {
   auto bp = fabric_blueprint::fat_tree(ft_cfg(4));
   sim_env env_a(1), env_b(2);
+  testing::attach_plane(env_a, bp->n_slots());
+  testing::attach_plane(env_b, bp->n_slots());
   fat_tree ft_a(env_a, bp, droptail_factory(env_a));
   fat_tree ft_b(env_b, bp, droptail_factory(env_b));
 
@@ -157,7 +159,7 @@ TEST(fabric_blueprint, instances_of_one_blueprint_never_alias_mutable_state) {
     for (std::size_t i = 0; i < qa.size(); ++i) EXPECT_NE(qa[i], qb[i]);
   }
 
-  // Drive traffic through instance A only: its stats move, B's do not —
+  // Drive traffic through instance A only: its counters move, B's do not —
   // even though both resolve the very same structural route slots.
   testing::recording_sink dst_a(env_a);
   ft_a.paths().demux(15).bind(1, &dst_a);
@@ -168,21 +170,21 @@ TEST(fabric_blueprint, instances_of_one_blueprint_never_alias_mutable_state) {
   }
   env_a.events.run_all();
   EXPECT_EQ(dst_a.count(), 3u);
-  EXPECT_EQ(ft_a.aggregate_stats(link_level::host_up).forwarded, 3u);
-  EXPECT_EQ(ft_b.aggregate_stats(link_level::host_up).forwarded, 0u);
+  EXPECT_EQ(ft_a.aggregate_stats(link_level::host_up).deq_pkts, 3u);
+  EXPECT_EQ(ft_b.aggregate_stats(link_level::host_up).deq_pkts, 0u);
   for (const auto* q : ft_b.queues_at(link_level::agg_up)) {
-    EXPECT_EQ(q->stats().arrivals, 0u);
+    EXPECT_EQ(q->telemetry().enq_pkts, 0u);
   }
 
-  // Queue stats then diverge independently: B counts its own traffic.
+  // The counters then diverge independently: B counts its own traffic.
   testing::recording_sink dst_b(env_b);
   ft_b.paths().demux(15).bind(9, &dst_b);
   packet* p = testing::make_data(env_b, ft_b.paths().forward(0, 15, 0));
   p->flow_id = 9;
   send_to_next_hop(*p);
   env_b.events.run_all();
-  EXPECT_EQ(ft_b.aggregate_stats(link_level::host_up).forwarded, 1u);
-  EXPECT_EQ(ft_a.aggregate_stats(link_level::host_up).forwarded, 3u);
+  EXPECT_EQ(ft_b.aggregate_stats(link_level::host_up).deq_pkts, 1u);
+  EXPECT_EQ(ft_a.aggregate_stats(link_level::host_up).deq_pkts, 3u);
 }
 
 TEST(fabric_blueprint, shared_and_private_fabrics_produce_identical_flows) {

@@ -38,34 +38,37 @@ fat_tree_config ft_cfg(unsigned k) {
 TEST(flow_lifecycle, destroy_frees_slot_and_never_reuses_id) {
   fabric_params fp;
   fp.proto = protocol::ndp;
-  auto bed = make_fat_tree_testbed(3, 4, fp);
-  bed->topo->paths().enable_stale_drop(bed->env.pool);  // as the recycler does
+  sim_env env(3);
+  const auto bp = make_fat_tree_blueprint(4, fp);
+  telemetry_plane& tp = testing::attach_plane(env, bp->n_slots());
+  testbed bed(env, bp, fp);
+  bed.topo->paths().enable_stale_drop(env.pool);  // as the recycler does
   flow_options o;
   o.bytes = 5 * 8936;
 
-  flow& a = bed->flows->create(protocol::ndp, 0, 15, o);
+  flow& a = bed.flows->create(protocol::ndp, 0, 15, o);
   const std::uint32_t id_a = a.id;
-  run_until_complete(bed->env, {&a}, from_ms(50));
+  run_until_complete(env, {&a}, from_ms(50));
   ASSERT_TRUE(a.complete());
-  EXPECT_EQ(bed->flows->live_count(), 1u);
+  EXPECT_EQ(bed.flows->live_count(), 1u);
 
   // A's final ACK is still in flight when A is destroyed.
-  bed->flows->destroy(a);
-  EXPECT_EQ(bed->flows->live_count(), 0u);
-  EXPECT_EQ(bed->flows->destroyed_count(), 1u);
+  bed.flows->destroy(a);
+  EXPECT_EQ(bed.flows->live_count(), 0u);
+  EXPECT_EQ(bed.flows->destroyed_count(), 1u);
 
   // The replacement on the same pair reuses the table slot but not the id.
-  o.start = bed->env.now();
-  flow& b = bed->flows->create(protocol::ndp, 0, 15, o);
+  o.start = env.now();
+  flow& b = bed.flows->create(protocol::ndp, 0, 15, o);
   EXPECT_NE(b.id, id_a);
-  EXPECT_EQ(bed->flows->flows().size(), 1u);
+  EXPECT_EQ(bed.flows->flows().size(), 1u);
 
   // B runs to completion on its own endpoints, and A's straggling ACK dies
   // at the demux instead of reaching B's source.
-  run_until_complete(bed->env, {&b}, bed->env.now() + from_ms(50));
+  run_until_complete(env, {&b}, env.now() + from_ms(50));
   EXPECT_TRUE(b.complete());
   EXPECT_EQ(b.payload_received(), o.bytes);
-  EXPECT_EQ(bed->topo->paths().stale_drops(), 1u);
+  EXPECT_EQ(tp.totals(telemetry_kind::demux).stale_drops, 1u);
 }
 
 TEST(flow_lifecycle, destroy_unbinds_demux_entries) {
@@ -91,6 +94,8 @@ TEST(flow_lifecycle, destroy_unbinds_demux_entries) {
 
 TEST(flow_lifecycle, stale_packet_for_dead_flow_is_dropped_when_enabled) {
   sim_env env;
+  telemetry_plane& tp = testing::attach_plane(
+      env, fabric_blueprint::fat_tree(ft_cfg(4))->n_slots());
   fat_tree ft(env, ft_cfg(4), droptail_factory(env));
   ft.paths().enable_stale_drop(env.pool);
   flow_demux& d = ft.paths().demux(15);
@@ -103,8 +108,8 @@ TEST(flow_lifecycle, stale_packet_for_dead_flow_is_dropped_when_enabled) {
   stale->type = packet_type::ndp_ack;
   stale->flow_id = 99;
   d.receive(*stale);
-  EXPECT_EQ(d.stale_drops(), 1u);
-  EXPECT_EQ(ft.paths().stale_drops(), 1u);
+  EXPECT_EQ(d.telemetry().stale_drops, 1u);
+  EXPECT_EQ(tp.totals(telemetry_kind::demux).stale_drops, 1u);
   EXPECT_EQ(live_ep.count(), 0u);  // ...and is NOT handed to another flow
 
   // ...while a packet for the live flow still reaches its endpoint.
@@ -113,7 +118,7 @@ TEST(flow_lifecycle, stale_packet_for_dead_flow_is_dropped_when_enabled) {
   good->flow_id = 7;
   d.receive(*good);
   EXPECT_EQ(live_ep.count(), 1u);
-  EXPECT_EQ(d.stale_drops(), 1u);
+  EXPECT_EQ(d.telemetry().stale_drops, 1u);
   EXPECT_EQ(env.pool.outstanding(), 0u);  // both packets returned to the pool
 }
 

@@ -20,19 +20,21 @@ TEST(host_nic, unbounded_by_default) {
   sim_env env;
   recording_sink sink(env);
   host_priority_queue q(env, gbps(10));
+  const auto tp = testing::arm(q);
   owned_route r;
   r.push_back(&q);
   r.push_back(&sink);
   for (std::uint64_t i = 1; i <= 500; ++i) send_to_next_hop(*make_data(env, &r, 9000, i));
   env.events.run_all();
   EXPECT_EQ(sink.count(), 500u);
-  EXPECT_EQ(q.stats().dropped, 0u);
+  EXPECT_EQ(q.telemetry().drop_pkts, 0u);
 }
 
 TEST(host_nic, data_cap_drops_excess_data) {
   sim_env env;
   recording_sink sink(env);
   host_priority_queue q(env, gbps(10), "nic", 3 * 9000);
+  const auto tp = testing::arm(q);
   owned_route r;
   r.push_back(&q);
   r.push_back(&sink);
@@ -40,7 +42,7 @@ TEST(host_nic, data_cap_drops_excess_data) {
   for (std::uint64_t i = 1; i <= 6; ++i) send_to_next_hop(*make_data(env, &r, 9000, i));
   env.events.run_all();
   EXPECT_EQ(sink.count(), 4u);
-  EXPECT_EQ(q.stats().dropped, 2u);
+  EXPECT_EQ(q.telemetry().drop_pkts, 2u);
   EXPECT_EQ(env.pool.outstanding(), 0u);
 }
 
@@ -48,6 +50,7 @@ TEST(host_nic, control_ignores_the_data_cap) {
   sim_env env;
   recording_sink sink(env);
   host_priority_queue q(env, gbps(10), "nic", 9000);
+  const auto tp = testing::arm(q);
   q.set_paused(true);
   owned_route r;
   r.push_back(&q);
@@ -61,7 +64,7 @@ TEST(host_nic, control_ignores_the_data_cap) {
     a->next_hop = 0;
     send_to_next_hop(*a);
   }
-  EXPECT_EQ(q.stats().dropped, 0u);  // every ACK admitted
+  EXPECT_EQ(q.telemetry().drop_pkts, 0u);  // every ACK admitted
   q.set_paused(false);
   env.events.run_all();
   EXPECT_EQ(sink.count(), 51u);
@@ -71,6 +74,7 @@ TEST(host_nic, cap_accounts_data_only) {
   sim_env env;
   recording_sink sink(env);
   host_priority_queue q(env, gbps(10), "nic", 2 * 9000);
+  const auto tp = testing::arm(q);
   q.set_paused(true);
   owned_route r;
   r.push_back(&q);
@@ -86,7 +90,7 @@ TEST(host_nic, cap_accounts_data_only) {
   }
   send_to_next_hop(*make_data(env, &r, 9000, 1));
   send_to_next_hop(*make_data(env, &r, 9000, 2));
-  EXPECT_EQ(q.stats().dropped, 0u);
+  EXPECT_EQ(q.telemetry().drop_pkts, 0u);
   q.set_paused(false);
   env.events.run_all();
   EXPECT_EQ(sink.count(), 102u);

@@ -4,6 +4,7 @@
 
 #include "harness/experiments.h"
 #include "workload/traffic_matrix.h"
+#include "test_util.h"
 
 namespace ndpsim {
 namespace {
@@ -73,16 +74,19 @@ TEST(integration, trimming_is_where_the_paper_says) {
   // links; uplinks see essentially nothing under permutation traffic.
   fabric_params fp;
   fp.proto = protocol::ndp;
-  auto bed = make_fat_tree_testbed(21, 4, fp);
+  sim_env env(21);
+  const auto bp = make_fat_tree_blueprint(4, fp);
+  testing::attach_plane(env, bp->n_slots());
+  testbed bed(env, bp, fp);
   flow_options o;
-  (void)run_permutation(*bed, protocol::ndp, o, from_ms(2), from_ms(4));
-  const auto up = bed->topo->aggregate_stats(link_level::agg_up);
-  const auto down = bed->topo->aggregate_stats(link_level::tor_down);
-  EXPECT_GE(down.trimmed + up.trimmed, 0u);
-  if (down.trimmed + up.trimmed > 0) {
+  (void)run_permutation(bed, protocol::ndp, o, from_ms(2), from_ms(4));
+  const auto up = bed.topo->aggregate_stats(link_level::agg_up);
+  const auto down = bed.topo->aggregate_stats(link_level::tor_down);
+  EXPECT_GE(down.trim_pkts + up.trim_pkts, 0u);
+  if (down.trim_pkts + up.trim_pkts > 0) {
     const double up_frac =
-        static_cast<double>(up.trimmed) /
-        static_cast<double>(up.trimmed + down.trimmed);
+        static_cast<double>(up.trim_pkts) /
+        static_cast<double>(up.trim_pkts + down.trim_pkts);
     EXPECT_LT(up_frac, 0.2);
   }
 }
@@ -90,17 +94,20 @@ TEST(integration, trimming_is_where_the_paper_says) {
 TEST(integration, dcqcn_completes_incast_losslessly) {
   fabric_params fp;
   fp.proto = protocol::dcqcn;
-  auto bed = make_fat_tree_testbed(3, 4, fp);
-  const auto senders = incast_senders(bed->env.rng, bed->topo->n_hosts(), 2, 8);
+  sim_env env(3);
+  const auto bp = make_fat_tree_blueprint(4, fp);
+  testing::attach_plane(env, bp->n_slots());
+  testbed bed(env, bp, fp);
+  const auto senders = incast_senders(env.rng, bed.topo->n_hosts(), 2, 8);
   flow_options o;
   const auto res =
-      run_incast(*bed, protocol::dcqcn, senders, 2, 30 * 8936, o, from_sec(5));
+      run_incast(bed, protocol::dcqcn, senders, 2, 30 * 8936, o, from_sec(5));
   EXPECT_EQ(res.completed, 8u);
   // Lossless fabric: zero drops anywhere.
   for (auto level : {link_level::tor_up, link_level::agg_up,
                      link_level::core_down, link_level::agg_down,
                      link_level::tor_down}) {
-    EXPECT_EQ(bed->topo->aggregate_stats(level).dropped, 0u)
+    EXPECT_EQ(bed.topo->aggregate_stats(level).drop_pkts, 0u)
         << to_string(level);
   }
 }

@@ -51,6 +51,7 @@ TEST(pfc, no_pause_below_xoff) {
 TEST(pfc, xoff_pauses_upstream_and_xon_resumes) {
   sim_env env;
   pfc_chain c(env, 3 * 9000, 1 * 9000);
+  const auto tp = testing::arm(c.egress);
   c.egress.set_paused(true);  // jam the egress so ingress accounting builds
   for (std::uint64_t i = 1; i <= 8; ++i) send_to_next_hop(*make_data(env, &c.rt, 9000, i));
   env.events.run_until(from_ms(1));
@@ -63,7 +64,7 @@ TEST(pfc, xoff_pauses_upstream_and_xon_resumes) {
   env.events.run_all();
   EXPECT_FALSE(c.nic.paused());
   EXPECT_EQ(c.sink.count(), 8u);  // lossless: everything arrives
-  EXPECT_EQ(c.egress.stats().dropped, 0u);
+  EXPECT_EQ(c.egress.telemetry().drop_pkts, 0u);
   EXPECT_EQ(env.pool.outstanding(), 0u);
 }
 

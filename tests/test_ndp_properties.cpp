@@ -9,6 +9,7 @@
 #include "ndp/pull_pacer.h"
 #include "topo/micro_topo.h"
 #include "topo/path_table.h"
+#include "test_util.h"
 
 namespace ndpsim {
 namespace {
@@ -86,6 +87,8 @@ class queue_iw_sweep : public ::testing::TestWithParam<sweep_cfg> {};
 
 TEST_P(queue_iw_sweep, two_flow_sharing_is_fair_and_lossless_for_metadata) {
   sim_env env(99);
+  testing::attach_plane(
+      env, fabric_blueprint::single_switch(3, gbps(10), from_us(1))->n_slots());
   single_switch star(env, 3, gbps(10), from_us(1),
                      ndp_factory(env, GetParam().queue_pkts));
   pull_pacer pacer(env, gbps(10));
@@ -98,7 +101,7 @@ TEST_P(queue_iw_sweep, two_flow_sharing_is_fair_and_lossless_for_metadata) {
   const double pb = static_cast<double>(b.sink.payload_received());
   EXPECT_NEAR(pa / (pa + pb), 0.5, 0.06);
   // Metadata losslessness: with an ample header queue nothing is dropped.
-  EXPECT_EQ(star.switch_port(2).stats().dropped, 0u);
+  EXPECT_EQ(star.switch_port(2).telemetry().drop_pkts, 0u);
   // Aggregate goodput close to line rate.
   const double gb = (pa + pb) * 8 / to_sec(from_ms(5)) / 1e9;
   EXPECT_GT(gb, 8.8);

@@ -22,19 +22,21 @@ TEST(ndp_queue, forwards_when_not_full) {
   sim_env env;
   recording_sink sink(env);
   ndp_queue q(env, gbps(10), small_q(8));
+  const auto tp = testing::arm(q);
   owned_route r;
   r.push_back(&q);
   r.push_back(&sink);
   for (std::uint64_t i = 1; i <= 4; ++i) send_to_next_hop(*make_data(env, &r, 9000, i));
   env.events.run_all();
   EXPECT_EQ(sink.count(), 4u);
-  EXPECT_EQ(q.stats().trimmed, 0u);
+  EXPECT_EQ(q.telemetry().trim_pkts, 0u);
 }
 
 TEST(ndp_queue, trims_on_data_overflow_instead_of_dropping) {
   sim_env env;
   recording_sink sink(env);
   ndp_queue q(env, gbps(10), small_q(2));
+  const auto tp = testing::arm(q);
   owned_route r;
   r.push_back(&q);
   r.push_back(&sink);
@@ -42,8 +44,8 @@ TEST(ndp_queue, trims_on_data_overflow_instead_of_dropping) {
   for (std::uint64_t i = 1; i <= 5; ++i) send_to_next_hop(*make_data(env, &r, 9000, i));
   env.events.run_all();
   ASSERT_EQ(sink.count(), 5u);  // nothing lost: 3 data + 2 headers
-  EXPECT_EQ(q.stats().trimmed, 2u);
-  EXPECT_EQ(q.stats().dropped, 0u);
+  EXPECT_EQ(q.telemetry().trim_pkts, 2u);
+  EXPECT_EQ(q.telemetry().drop_pkts, 0u);
   int headers = 0;
   for (const auto& a : sink.arrivals()) {
     if ((a.flags & pkt_flag::trimmed) != 0) {
@@ -230,14 +232,15 @@ TEST(ndp_queue, trim_disabled_drops_like_droptail) {
   ndp_queue_config cfg = small_q(1);
   cfg.enable_trimming = false;
   ndp_queue q(env, gbps(10), cfg);
+  const auto tp = testing::arm(q);
   owned_route r;
   r.push_back(&q);
   r.push_back(&sink);
   for (std::uint64_t i = 1; i <= 4; ++i) send_to_next_hop(*make_data(env, &r, 9000, i));
   env.events.run_all();
   EXPECT_EQ(sink.count(), 2u);
-  EXPECT_EQ(q.stats().dropped, 2u);
-  EXPECT_EQ(q.stats().trimmed, 0u);
+  EXPECT_EQ(q.telemetry().drop_pkts, 2u);
+  EXPECT_EQ(q.telemetry().trim_pkts, 0u);
   EXPECT_EQ(env.pool.outstanding(), 0u);
 }
 
@@ -249,6 +252,7 @@ TEST(ndp_queue, header_queue_overflow_drops_control_without_rts) {
   cfg.header_capacity_bytes = 2 * kHeaderBytes;
   cfg.enable_rts = true;  // control packets cannot bounce regardless
   ndp_queue q(env, gbps(10), cfg);
+  const auto tp = testing::arm(q);
   q.set_paused(true);
   owned_route r;
   r.push_back(&q);
@@ -264,7 +268,7 @@ TEST(ndp_queue, header_queue_overflow_drops_control_without_rts) {
   q.set_paused(false);
   env.events.run_all();
   EXPECT_EQ(sink.count(), 2u);
-  EXPECT_EQ(q.stats().dropped, 2u);
+  EXPECT_EQ(q.telemetry().drop_pkts, 2u);
 }
 
 TEST(ndp_queue, rts_bounces_header_back_to_source) {
@@ -280,6 +284,7 @@ TEST(ndp_queue, rts_bounces_header_back_to_source) {
   tiny.header_capacity_bytes = kHeaderBytes;  // 1 header only
   ndp_queue q_a(env, gbps(10), small_q(8), "A.up");
   ndp_queue q_sw(env, gbps(10), tiny, "SW.down");
+  const auto tp = testing::arm(q_sw);
   ndp_queue q_b(env, gbps(10), small_q(8), "B.up");
   ndp_queue q_sw_rev(env, gbps(10), small_q(8), "SW.down.rev");
   pipe p1(env, from_us(1)), p2(env, from_us(1)), p3(env, from_us(1)),
@@ -312,7 +317,7 @@ TEST(ndp_queue, rts_bounces_header_back_to_source) {
   }
   env.events.run_all();
 
-  EXPECT_EQ(q_sw.stats().bounced, 2u);
+  EXPECT_EQ(q_sw.telemetry().bounce_pkts, 2u);
   ASSERT_EQ(src_endpoint.count(), 2u);
   const auto& b = src_endpoint.arrivals()[0];
   EXPECT_NE(b.flags & pkt_flag::bounced, 0);
@@ -330,6 +335,7 @@ TEST(ndp_queue, bounced_header_is_never_bounced_twice) {
   tiny.data_capacity_bytes = 9000;
   tiny.header_capacity_bytes = kHeaderBytes;
   ndp_queue q(env, gbps(10), tiny);
+  const auto tp = testing::arm(q);
   q.set_paused(true);
   owned_route r;
   r.push_back(&q);
@@ -350,8 +356,8 @@ TEST(ndp_queue, bounced_header_is_never_bounced_twice) {
   q.set_paused(false);
   env.events.run_all();
   EXPECT_EQ(sink.count(), 1u);
-  EXPECT_EQ(q.stats().dropped, 1u);
-  EXPECT_EQ(q.stats().bounced, 0u);
+  EXPECT_EQ(q.telemetry().drop_pkts, 1u);
+  EXPECT_EQ(q.telemetry().bounce_pkts, 0u);
 }
 
 TEST(ndp_queue, trim_packet_helper) {

@@ -125,6 +125,9 @@ TEST(ndp_transport, last_packet_flag_set_and_flow_size_learned) {
 
 TEST(ndp_transport, incast_trims_then_recovers_without_timeouts) {
   sim_env env(7);
+  testing::attach_plane(
+      env, fabric_blueprint::single_switch(11, gbps(10), from_us(1))
+               ->n_slots());
   single_switch star(env, 11, gbps(10), from_us(1), ndp_factory(env, 8));
   pull_pacer pacer(env, gbps(10));
   std::vector<std::unique_ptr<connection>> conns;
@@ -145,7 +148,7 @@ TEST(ndp_transport, incast_trims_then_recovers_without_timeouts) {
   }
   // 10 senders x 30-packet IW into one 8-packet port: heavy trimming, all
   // recovered via NACK+PULL, no timeouts needed (metadata is lossless).
-  EXPECT_GT(star.switch_port(10).stats().trimmed, 50u);
+  EXPECT_GT(star.switch_port(10).telemetry().trim_pkts, 50u);
   EXPECT_GT(rtx_nack, 50u);
   EXPECT_EQ(rtx_to, 0u);
   EXPECT_EQ(dups, 0u);

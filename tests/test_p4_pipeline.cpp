@@ -54,6 +54,7 @@ TEST(p4_pipeline, setprio_above_threshold_truncates) {
   p4_pipeline_config cfg;
   cfg.data_threshold_bytes = 12 * 1024;
   p4_ndp_pipeline q(env, gbps(10), cfg);
+  const auto tp = testing::arm(q);
   q.set_paused(true);
   owned_route r;
   r.push_back(&q);
@@ -65,7 +66,7 @@ TEST(p4_pipeline, setprio_above_threshold_truncates) {
   send_to_next_hop(*make_data(env, &r, 9000, 2));
   send_to_next_hop(*make_data(env, &r, 9000, 3));
   EXPECT_EQ(q.hits().setprio_truncate, 1u);
-  EXPECT_EQ(q.stats().trimmed, 1u);
+  EXPECT_EQ(q.telemetry().trim_pkts, 1u);
   q.set_paused(false);
   env.events.run_all();
   ASSERT_EQ(sink.count(), 3u);
@@ -87,6 +88,7 @@ TEST(p4_pipeline, equivalent_trim_decisions_to_ndp_queue) {
   pc.data_threshold_bytes = 3 * 1500;
   pc.header_capacity_bytes = 100 * kHeaderBytes;
   p4_ndp_pipeline p4q(env1, gbps(10), pc);
+  const auto tp_p4q = testing::arm(p4q);
 
   ndp_queue_config nc;
   // ndp_queue admits while bytes <= capacity; P4 admits while qs <= threshold
@@ -96,6 +98,7 @@ TEST(p4_pipeline, equivalent_trim_decisions_to_ndp_queue) {
   nc.random_trim_position = false;  // always trim the arriving packet
   nc.wrr_headers_per_data = 1000000;  // effectively strict priority
   ndp_queue ndpq(env2, gbps(10), nc);
+  const auto tp_ndpq = testing::arm(ndpq);
 
   owned_route r1, r2;
   r1.push_back(&p4q);
@@ -114,7 +117,7 @@ TEST(p4_pipeline, equivalent_trim_decisions_to_ndp_queue) {
   env1.events.run_all();
   env2.events.run_all();
 
-  EXPECT_EQ(p4q.stats().trimmed, ndpq.stats().trimmed);
+  EXPECT_EQ(p4q.telemetry().trim_pkts, ndpq.telemetry().trim_pkts);
   ASSERT_EQ(s1.count(), s2.count());
   // Same per-sequence trim verdicts.
   std::map<std::uint64_t, bool> v1, v2;
@@ -130,6 +133,7 @@ TEST(p4_pipeline, header_overflow_drops) {
   cfg.data_threshold_bytes = 0;  // everything truncates
   cfg.header_capacity_bytes = 2 * kHeaderBytes;
   p4_ndp_pipeline q(env, gbps(10), cfg);
+  const auto tp = testing::arm(q);
   q.set_paused(true);
   owned_route r;
   r.push_back(&q);
@@ -138,7 +142,7 @@ TEST(p4_pipeline, header_overflow_drops) {
   q.set_paused(false);
   env.events.run_all();
   EXPECT_EQ(sink.count(), 3u);  // 1 normal (qs==0 admits) + 2 headers
-  EXPECT_EQ(q.stats().dropped, 2u);
+  EXPECT_EQ(q.telemetry().drop_pkts, 2u);
 }
 
 }  // namespace

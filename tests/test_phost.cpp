@@ -4,6 +4,7 @@
 #include "phost/phost.h"
 #include "topo/micro_topo.h"
 #include "topo/path_table.h"
+#include "test_util.h"
 
 namespace ndpsim {
 namespace {
@@ -56,6 +57,8 @@ TEST(phost, drops_cost_token_timeouts) {
   // happen and recovery waits for the token timeout — pHost's weakness that
   // Fig 16/§6.2 contrasts with NDP trimming.
   sim_env env(23);
+  testing::attach_plane(
+      env, fabric_blueprint::single_switch(9, gbps(10), from_us(1))->n_slots());
   single_switch star(env, 9, gbps(10), from_us(1), droptail_factory(env, 8));
   phost_token_pacer pacer(env, gbps(10));
   std::vector<std::unique_ptr<pconn>> conns;
@@ -67,7 +70,7 @@ TEST(phost, drops_cost_token_timeouts) {
   std::size_t done = 0;
   for (const auto& c : conns) done += c->sink.complete() ? 1 : 0;
   EXPECT_EQ(done, 8u);
-  EXPECT_GT(star.switch_port(8).stats().dropped, 0u);
+  EXPECT_GT(star.switch_port(8).telemetry().drop_pkts, 0u);
   // Completion must have taken far longer than the no-loss ideal (~1.2ms)
   // because token timeouts (300us each) gate loss recovery.
   double worst = 0;

@@ -64,6 +64,7 @@ TEST(drop_tail, drops_when_full) {
   sim_env env;
   recording_sink sink(env);
   drop_tail_queue q(env, gbps(10), 2 * 9000);
+  const auto tp = testing::arm(q);
   owned_route r;
   r.push_back(&q);
   r.push_back(&sink);
@@ -72,7 +73,7 @@ TEST(drop_tail, drops_when_full) {
   for (std::uint64_t i = 1; i <= 4; ++i) send_to_next_hop(*make_data(env, &r, 9000, i));
   env.events.run_all();
   EXPECT_EQ(sink.count(), 3u);
-  EXPECT_EQ(q.stats().dropped, 1u);
+  EXPECT_EQ(q.telemetry().drop_pkts, 1u);
   EXPECT_EQ(env.pool.outstanding(), 0u);  // dropped packet was released
 }
 
@@ -80,6 +81,7 @@ TEST(drop_tail, byte_capacity_not_packet_count) {
   sim_env env;
   recording_sink sink(env);
   drop_tail_queue q(env, gbps(10), 18000);
+  const auto tp = testing::arm(q);
   owned_route r;
   r.push_back(&q);
   r.push_back(&sink);
@@ -87,7 +89,7 @@ TEST(drop_tail, byte_capacity_not_packet_count) {
   for (std::uint64_t i = 1; i <= 14; ++i) send_to_next_hop(*make_data(env, &r, 1500, i));
   env.events.run_all();
   EXPECT_EQ(sink.count(), 13u);
-  EXPECT_EQ(q.stats().dropped, 1u);
+  EXPECT_EQ(q.telemetry().drop_pkts, 1u);
 }
 
 // Overrides only the scheduling discipline: LIFO service over drop-tail's
@@ -127,6 +129,7 @@ TEST(ecn_threshold, marks_ect_above_threshold) {
   sim_env env;
   recording_sink sink(env);
   ecn_threshold_queue q(env, gbps(10), 100 * 9000, 2 * 9000);
+  const auto tp = testing::arm(q);
   owned_route r;
   r.push_back(&q);
   r.push_back(&sink);
@@ -144,7 +147,7 @@ TEST(ecn_threshold, marks_ect_above_threshold) {
     if ((a.flags & pkt_flag::ce) != 0) ++marked;
   }
   EXPECT_EQ(marked, 2);
-  EXPECT_EQ(q.stats().marked, 2u);
+  EXPECT_EQ(q.telemetry().mark_pkts, 2u);
 }
 
 TEST(ecn_threshold, ignores_non_ect) {
@@ -163,6 +166,7 @@ TEST(red_ecn, marks_probabilistically_between_thresholds) {
   sim_env env(7);
   recording_sink sink(env);
   red_ecn_queue q(env, gbps(10), 1000 * 1500, 5 * 1500, 50 * 1500, 1.0);
+  const auto tp = testing::arm(q);
   owned_route r;
   r.push_back(&q);
   r.push_back(&sink);
@@ -174,7 +178,7 @@ TEST(red_ecn, marks_probabilistically_between_thresholds) {
   env.events.run_all();
   // Queue fills far beyond kmax, so most packets after the first few must be
   // marked — but the first five (below kmin) must not be.
-  EXPECT_GT(q.stats().marked, 100u);
+  EXPECT_GT(q.telemetry().mark_pkts, 100u);
   int first_marked = -1;
   int idx = 0;
   for (const auto& a : sink.arrivals()) {
@@ -234,15 +238,16 @@ TEST(queue_stats, byte_and_packet_counters) {
   sim_env env;
   recording_sink sink(env);
   drop_tail_queue q(env, gbps(10), 100 * 9000);
+  const auto tp = testing::arm(q);
   owned_route r;
   r.push_back(&q);
   r.push_back(&sink);
   send_to_next_hop(*make_data(env, &r, 9000, 1));
   send_to_next_hop(*make_data(env, &r, 1500, 2));
   env.events.run_all();
-  EXPECT_EQ(q.stats().arrivals, 2u);
-  EXPECT_EQ(q.stats().forwarded, 2u);
-  EXPECT_EQ(q.stats().bytes_forwarded, 10500u);
+  EXPECT_EQ(q.telemetry().enq_pkts, 2u);
+  EXPECT_EQ(q.telemetry().deq_pkts, 2u);
+  EXPECT_EQ(q.telemetry().deq_bytes, 10500u);
 }
 
 }  // namespace

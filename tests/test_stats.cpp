@@ -81,13 +81,14 @@ TEST(rate_sampler, measures_queue_drain_rate) {
   sim_env env;
   testing::recording_sink sink(env);
   drop_tail_queue q(env, gbps(10), 1000 * 9000);
+  const auto tp = testing::arm(q);
   owned_route r;
   r.push_back(&q);
   r.push_back(&sink);
 
   std::uint64_t delivered = 0;
   rate_sampler sampler(
-      env, [&q] { return q.stats().bytes_forwarded; }, from_us(100));
+      env, [&q] { return q.telemetry().deq_bytes; }, from_us(100));
   (void)delivered;
   sampler.start(0);
 

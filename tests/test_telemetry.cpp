@@ -8,10 +8,10 @@
 //    payload removed in place)
 //  * pipe:           enq == deq once the wire drained (pipes never drop)
 //  * demux:          enq == deq-to-endpoint + stale drops
-// plus an exact cross-check against the queues' own `queue_stats` (two
-// independent counting systems must tell one story), and the merge law:
-// a parallel_runner sweep's merged plane is bitwise equal to the serial
-// run's, however the jobs were scheduled.
+// and the merge law: a parallel_runner sweep's merged plane is bitwise equal
+// to the serial run's, however the jobs were scheduled.  The plane is the
+// only counter store, so the resident terms (read from the queues'
+// buffers, not from any counter) are what make these laws an oracle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,6 +28,7 @@
 #include "stats/telemetry_json.h"
 #include "topo/path_table.h"
 #include "workload/traffic_matrix.h"
+#include "test_util.h"
 
 namespace ndpsim {
 namespace {
@@ -71,17 +72,6 @@ void expect_queue_conservation(const fabric_instance& fabric) {
       EXPECT_EQ(c.enq_bytes, c.deq_bytes + c.drop_bytes + c.bounce_bytes +
                                  c.trim_bytes + resident_bytes)
           << "byte conservation violated at " << to_string(lvl);
-
-      // Independent-counting cross-check: the telemetry slot must agree
-      // exactly with the queue's own stats block at every overlapping field.
-      const queue_stats& s = q->stats();
-      EXPECT_EQ(s.arrivals, c.enq_pkts);
-      EXPECT_EQ(s.forwarded, c.deq_pkts);
-      EXPECT_EQ(s.dropped, c.drop_pkts);
-      EXPECT_EQ(s.trimmed, c.trim_pkts);
-      EXPECT_EQ(s.bounced, c.bounce_pkts);
-      EXPECT_EQ(s.marked, c.mark_pkts);
-      EXPECT_EQ(s.bytes_forwarded, c.deq_bytes);
     }
   }
 }
@@ -108,7 +98,6 @@ void expect_pipe_and_demux_conservation(fabric_instance& fabric,
     ASSERT_TRUE(d.telemetry_armed()) << "demux " << h << " not armed";
     const telemetry_counters c = d.telemetry();
     EXPECT_EQ(c.enq_pkts, c.deq_pkts + c.stale_drops) << "demux " << h;
-    EXPECT_EQ(d.stale_drops(), c.stale_drops) << "demux " << h;
     delivered += c.enq_pkts;
   }
   EXPECT_GT(delivered, 0u) << "workload never reached a demux";
@@ -218,7 +207,7 @@ TEST(telemetry_conservation_incast, ndp_incast_conserves_with_trims) {
   expect_pipe_and_demux_conservation(*tb.bed->topo, tb.plane());
 
   // The incast must have trimmed somewhere (that's the NDP mechanism under
-  // test) — and the trim counter must agree with the fabric's own stats.
+  // test) — and the per-level sums must add up to the per-queue ones.
   std::uint64_t trims = 0;
   for (const link_level lvl : kLevels) {
     for (const queue_base* q : tb.bed->topo->queues_at(lvl)) {
@@ -226,15 +215,15 @@ TEST(telemetry_conservation_incast, ndp_incast_conserves_with_trims) {
     }
   }
   EXPECT_GT(trims, 0u);
-  EXPECT_EQ(trims, tb.bed->topo->aggregate_stats(link_level::host_up).trimmed +
-                       tb.bed->topo->aggregate_stats(link_level::tor_up).trimmed +
-                       tb.bed->topo->aggregate_stats(link_level::agg_up).trimmed +
-                       tb.bed->topo->aggregate_stats(link_level::core_down).trimmed +
-                       tb.bed->topo->aggregate_stats(link_level::agg_down).trimmed +
-                       tb.bed->topo->aggregate_stats(link_level::tor_down).trimmed);
+  EXPECT_EQ(trims, tb.bed->topo->aggregate_stats(link_level::host_up).trim_pkts +
+                       tb.bed->topo->aggregate_stats(link_level::tor_up).trim_pkts +
+                       tb.bed->topo->aggregate_stats(link_level::agg_up).trim_pkts +
+                       tb.bed->topo->aggregate_stats(link_level::core_down).trim_pkts +
+                       tb.bed->topo->aggregate_stats(link_level::agg_down).trim_pkts +
+                       tb.bed->topo->aggregate_stats(link_level::tor_down).trim_pkts);
 }
 
-// DCTCP incast: exercises the ECN-mark counter against queue_stats.marked.
+// DCTCP incast: exercises the ECN-mark counter.
 TEST(telemetry_conservation_incast, dctcp_incast_counts_ecn_marks) {
   fabric_params fp;
   fp.proto = protocol::dctcp;
@@ -423,6 +412,30 @@ TEST(telemetry_totals, per_kind_totals_match_manual_slot_sum) {
   EXPECT_EQ(ts.queues, plane.totals(telemetry_kind::queue));
   EXPECT_EQ(ts.pipes, plane.totals(telemetry_kind::pipe));
   EXPECT_EQ(ts.demuxes, plane.totals(telemetry_kind::demux));
+}
+
+// ---------------------------------------------------------------------------
+// The plane is the only counter store: a component no plane armed counted
+// nothing, so reading it throws instead of returning zeros that a "nothing
+// dropped" check would accept.
+// ---------------------------------------------------------------------------
+
+TEST(telemetry_plane, reading_unarmed_counters_throws) {
+  fabric_params fp;
+  fp.proto = protocol::ndp;
+  auto bed = make_fat_tree_testbed(1, 4, fp);
+  ASSERT_EQ(bed->env.telemetry, nullptr);
+  fat_tree& ft = *bed->topo;
+  EXPECT_THROW((void)ft.aggregate_stats(link_level::tor_up), simulation_error);
+  EXPECT_THROW((void)ft.queues_at(link_level::tor_down)[0]->telemetry(),
+               simulation_error);
+  EXPECT_THROW((void)ft.paths().demux(0).telemetry(), simulation_error);
+  pipe wire(bed->env, from_us(1));
+  EXPECT_THROW((void)wire.telemetry(), simulation_error);
+
+  // Armed, the same pipe reads fine.
+  const auto tp = testing::arm(wire, telemetry_kind::pipe);
+  EXPECT_EQ(wire.telemetry(), telemetry_counters{});
 }
 
 }  // namespace

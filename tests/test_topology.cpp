@@ -160,6 +160,7 @@ TEST(fat_tree, host_link_speed_follows_host_up_override) {
 
 TEST(fat_tree, aggregate_stats_sum_over_level) {
   sim_env env;
+  testing::attach_plane(env, fabric_blueprint::fat_tree(ft_cfg(4))->n_slots());
   fat_tree ft(env, ft_cfg(4), droptail_factory(env));
   testing::recording_sink dst(env);
   auto fwd = testing::fabric_route(ft, 0, 15, 0);
@@ -168,9 +169,9 @@ TEST(fat_tree, aggregate_stats_sum_over_level) {
     send_to_next_hop(*testing::make_data(env, fwd.get(), 9000, i));
   }
   env.events.run_all();
-  EXPECT_EQ(ft.aggregate_stats(link_level::host_up).forwarded, 3u);
-  EXPECT_EQ(ft.aggregate_stats(link_level::agg_up).forwarded, 3u);
-  EXPECT_EQ(ft.aggregate_stats(link_level::tor_down).forwarded, 3u);
+  EXPECT_EQ(ft.aggregate_stats(link_level::host_up).deq_pkts, 3u);
+  EXPECT_EQ(ft.aggregate_stats(link_level::agg_up).deq_pkts, 3u);
+  EXPECT_EQ(ft.aggregate_stats(link_level::tor_down).deq_pkts, 3u);
 }
 
 TEST(fat_tree, pfc_mode_inserts_ingress_elements) {

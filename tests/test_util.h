@@ -9,6 +9,7 @@
 #include "net/packet.h"
 #include "net/route.h"
 #include "net/sim_env.h"
+#include "sim/telemetry.h"
 #include "topo/fabric_instance.h"
 
 namespace ndpsim::testing {
@@ -42,6 +43,25 @@ class recording_sink final : public packet_sink {
   sim_env& env_;
   std::vector<arrival> arrivals_;
 };
+
+/// Arm a standalone component (queue, pipe or demux) with a private
+/// one-slot telemetry plane, the only place its counters are kept.  The
+/// returned plane owns the counters: keep it alive while reading them.
+template <class Component>
+[[nodiscard]] std::unique_ptr<telemetry_plane> arm(
+    Component& c, telemetry_kind kind = telemetry_kind::queue) {
+  auto plane = std::make_unique<telemetry_plane>(1);
+  c.set_telemetry(plane->arm(0, kind));
+  return plane;
+}
+
+/// Attach a plane of `n_slots` to `env` so a fabric built on it afterwards
+/// arms every queue, pipe and demux.  Size it from the fabric's blueprint,
+/// e.g. `fabric_blueprint::single_switch(...)->n_slots()`.
+inline telemetry_plane& attach_plane(sim_env& env, std::size_t n_slots) {
+  env.telemetry = std::make_shared<telemetry_plane>(n_slots);
+  return *env.telemetry;
+}
 
 /// Allocate a data packet with sane defaults for queue-level tests.
 inline packet* make_data(sim_env& env, const route* rt,
