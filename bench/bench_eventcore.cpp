@@ -389,7 +389,9 @@ campaign_bench_result run_campaign_bench(bool quick) {
   namespace fs = std::filesystem;
   campaign_bench_result r;
   r.jobs = quick ? 128 : 512;
-  const fs::path base = fs::temp_directory_path() / "ndpsim_bench_campaign";
+  // Per process, so concurrent runs never share a journal.
+  const fs::path base = fs::temp_directory_path() /
+                        ("ndpsim_bench_campaign-" + std::to_string(::getpid()));
   fs::remove_all(base);
 
   // One shared blueprint (structure resident once); a per-job telemetry

@@ -6,8 +6,6 @@
 // collapses and the worst-10% flows collapse faster.  The NDP queue's WRR
 // (10 headers : 1 data) caps header overhead and the 50% trim coin breaks
 // phase locking: both curves stay near 100% of fair share.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 
 #include "bench_util.h"
@@ -87,30 +85,24 @@ collapse_result run_collapse(bool use_ndp_queue, std::size_t n_flows,
   return collapse_result{pct.mean(), pct.mean_lowest(0.10)};
 }
 
-void BM_collapse(benchmark::State& state) {
-  const bool ndp = state.range(0) != 0;
-  const auto n = static_cast<std::size_t>(state.range(1));
-  collapse_result r{};
-  for (auto _ : state) r = run_collapse(ndp, n, 1);
-  state.counters["goodput_pct_mean"] = r.mean_pct;
-  state.counters["goodput_pct_worst10"] = r.worst10_pct;
-  state.SetLabel(ndp ? "NDP switch" : "CP switch");
-}
-
-BENCHMARK(BM_collapse)
-    ->ArgsProduct({{0, 1}, {4, 10, 20, 40, 80, 140, 200}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace ndpsim
 
-int main(int argc, char** argv) {
-  ndpsim::bench::print_banner(
+int main() {
+  using namespace ndpsim;
+  bench::print_banner(
       "Fig 2: percent of fair goodput vs number of unresponsive flows",
       "CP mean decays with N and its worst-10% collapses (phase effects); "
       "NDP stays ~90-100% for both, flat in N");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  for (const std::size_t n : {4, 10, 20, 40, 80, 140, 200}) {
+    for (const bool ndp : {false, true}) {
+      const collapse_result r = run_collapse(ndp, n, 1);
+      bench::print_row(
+          std::string(ndp ? "NDP switch" : "CP switch") + " n=" +
+              std::to_string(n),
+          {{"goodput_pct_mean", r.mean_pct},
+           {"goodput_pct_worst10", r.worst10_pct}});
+    }
+  }
   return 0;
 }

@@ -1,8 +1,6 @@
 // Fig 4: CDF of NDP delivery latency (first send -> ACK at the sender,
 // including retransmission delay) on a FatTree under four traffic matrices:
 // permutation, random, and 100-flow incasts of 135KB and 1350KB.
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "harness/experiments.h"
 #include "workload/traffic_matrix.h"
@@ -53,52 +51,29 @@ sample_set run_matrix(const char* kind, std::uint64_t flow_bytes) {
   return latency_us;
 }
 
-void report(benchmark::State& state, const sample_set& s) {
-  state.counters["p10_us"] = s.quantile(0.10);
-  state.counters["median_us"] = s.median();
-  state.counters["p90_us"] = s.quantile(0.90);
-  state.counters["p99_us"] = s.quantile(0.99);
-  state.counters["max_us"] = s.max();
-  state.counters["samples"] = static_cast<double>(s.size());
+void report(const char* label, const sample_set& s) {
+  bench::print_row(label, {{"p10_us", s.quantile(0.10)},
+                           {"median_us", s.median()},
+                           {"p90_us", s.quantile(0.90)},
+                           {"p99_us", s.quantile(0.99)},
+                           {"max_us", s.max()},
+                           {"samples", static_cast<double>(s.size())}});
 }
-
-void BM_permutation(benchmark::State& state) {
-  sample_set s;
-  for (auto _ : state) s = run_matrix("permutation", 0);
-  report(state, s);
-}
-void BM_random(benchmark::State& state) {
-  sample_set s;
-  for (auto _ : state) s = run_matrix("random", 0);
-  report(state, s);
-}
-void BM_incast_135KB(benchmark::State& state) {
-  sample_set s;
-  for (auto _ : state) s = run_matrix("incast", 135'000);
-  report(state, s);
-}
-void BM_incast_1350KB(benchmark::State& state) {
-  sample_set s;
-  for (auto _ : state) s = run_matrix("incast", 1'350'000);
-  report(state, s);
-}
-
-BENCHMARK(BM_permutation)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_random)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_incast_135KB)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_incast_1350KB)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ndpsim
 
-int main(int argc, char** argv) {
-  ndpsim::bench::print_banner(
+int main() {
+  using namespace ndpsim;
+  bench::print_banner(
       "Fig 4: delivery latency CDF under permutation / random / incast",
       "permutation+random medians ~100us even fully loaded; 135KB incast "
       "pushes whole flows into the first RTT (high tail, ~11ms last packet "
       "at 100 senders); 1350KB incast settles to paced pulls with a ~95us "
       "median");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  report("BM_permutation", run_matrix("permutation", 0));
+  report("BM_random", run_matrix("random", 0));
+  report("BM_incast_135KB", run_matrix("incast", 135'000));
+  report("BM_incast_1350KB", run_matrix("incast", 1'350'000));
   return 0;
 }

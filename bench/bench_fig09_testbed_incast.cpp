@@ -2,8 +2,6 @@
 // switches: 4 ToRs x 2 hosts, 2 spines), response size 10KB..1MB.
 // NDP vs TCP, median and 90th percentile of the incast completion time,
 // against the theoretical optimum (receiver link saturated).
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "harness/experiments.h"
 #include "harness/flow_factory.h"
@@ -60,36 +58,27 @@ trial_result run_trials(protocol proto, std::uint64_t bytes, int n_trials) {
   return trial_result{completion_ms.median(), completion_ms.quantile(0.90)};
 }
 
-void BM_incast7to1(benchmark::State& state) {
-  const auto proto = static_cast<protocol>(state.range(0));
-  const std::uint64_t kb = static_cast<std::uint64_t>(state.range(1));
-  trial_result r{};
-  for (auto _ : state) r = run_trials(proto, kb * 1000, 9);
-  state.counters["median_ms"] = r.median_ms;
-  state.counters["p90_ms"] = r.p90_ms;
-  state.counters["optimal_ms"] =
-      incast_optimal_us(7, kb * 1000, 9000, gbps(10), from_us(18)) / 1000.0;
-  state.SetLabel(std::string(to_string(proto)) + " " + std::to_string(kb) +
-                 "KB");
-}
-
-BENCHMARK(BM_incast7to1)
-    ->ArgsProduct({{static_cast<int>(protocol::ndp),
-                    static_cast<int>(protocol::tcp)},
-                   {10, 50, 100, 250, 500, 1000}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace ndpsim
 
-int main(int argc, char** argv) {
-  ndpsim::bench::print_banner(
+int main() {
+  using namespace ndpsim;
+  bench::print_banner(
       "Fig 9: 7:1 incast completion time vs response size (testbed topology)",
       "NDP within ~5% of the optimum and its 90th percentile within 10% of "
       "its median; TCP ~4x slower in the median with a 90th percentile blown "
       "up by 200ms RTOs");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  for (const std::uint64_t kb : {10, 50, 100, 250, 500, 1000}) {
+    for (const protocol proto : {protocol::ndp, protocol::tcp}) {
+      const trial_result r = run_trials(proto, kb * 1000, 9);
+      bench::print_row(
+          std::string(to_string(proto)) + " " + std::to_string(kb) + "KB",
+          {{"median_ms", r.median_ms},
+           {"p90_ms", r.p90_ms},
+           {"optimal_ms",
+            incast_optimal_us(7, kb * 1000, 9000, gbps(10), from_us(18)) /
+                1000.0}});
+    }
+  }
   return 0;
 }

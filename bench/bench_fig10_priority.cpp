@@ -2,8 +2,6 @@
 // flow while six long flows hammer it.  With the short flow's PULLs placed
 // in a higher priority class, its completion time stays within tens of
 // microseconds of the idle-network time; without, it gets a 1/7 fair share.
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "harness/experiments.h"
 #include "harness/flow_factory.h"
@@ -43,33 +41,23 @@ sample_set run_mode(mode m, std::uint64_t bytes, int trials) {
   return fct_us;
 }
 
-void BM_priority(benchmark::State& state) {
-  const auto m = static_cast<mode>(state.range(0));
-  sample_set s;
-  for (auto _ : state) s = run_mode(m, 200'000, 15);
-  state.counters["fct_us_median"] = s.median();
-  state.counters["fct_us_p90"] = s.quantile(0.90);
-  state.SetLabel(m == mode::idle               ? "idle"
-                 : m == mode::with_priority    ? "with prioritization"
-                                               : "without prioritization");
-}
-
-BENCHMARK(BM_priority)
-    ->Arg(static_cast<int>(mode::idle))
-    ->Arg(static_cast<int>(mode::with_priority))
-    ->Arg(static_cast<int>(mode::without_priority))
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace ndpsim
 
-int main(int argc, char** argv) {
-  ndpsim::bench::print_banner(
+int main() {
+  using namespace ndpsim;
+  bench::print_banner(
       "Fig 10: prioritizing a 200KB flow over six long flows to one host",
       "FCT with priority within ~50us of idle; without priority ~500us "
       "slower (fair 1/7 share)");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  for (const mode m :
+       {mode::idle, mode::with_priority, mode::without_priority}) {
+    const sample_set s = run_mode(m, 200'000, 15);
+    bench::print_row(m == mode::idle               ? "idle"
+                     : m == mode::with_priority    ? "with prioritization"
+                                                   : "without prioritization",
+                     {{"fct_us_median", s.median()},
+                      {"fct_us_p90", s.quantile(0.90)}});
+  }
   return 0;
 }

@@ -1,10 +1,6 @@
 // Fig 12: distribution of the spacing between PULL packets for 1500B and
 // 9000B data packets, replaying the measured imperfect pacing of the Linux
 // prototype (host-artifact model, see src/host/artifacts.h).
-#include <benchmark/benchmark.h>
-
-#include <cstdio>
-
 #include "bench_util.h"
 #include "host/artifacts.h"
 #include "stats/cdf.h"
@@ -12,37 +8,30 @@
 namespace ndpsim {
 namespace {
 
-void BM_spacing(benchmark::State& state) {
-  const std::uint32_t pkt = static_cast<std::uint32_t>(state.range(0));
+void run_case(std::uint32_t pkt) {
   const simtime_t nominal = serialization_time(pkt, gbps(10));
   sim_env env(8);
   auto jitter = make_pull_jitter(env, pkt);
   sample_set s;
-  for (auto _ : state) {
-    for (int i = 0; i < 100000; ++i) s.add(to_us(jitter(nominal)));
-  }
-  state.counters["target_us"] = to_us(nominal);
-  state.counters["p05_us"] = s.quantile(0.05);
-  state.counters["median_us"] = s.median();
-  state.counters["p90_us"] = s.quantile(0.90);
-  state.counters["p99_us"] = s.quantile(0.99);
-  state.SetLabel(std::to_string(pkt) + "B packets");
-  if (state.range(1) != 0) {
-    std::printf("CDF (%uB):\n%s\n", pkt, s.cdf_rows(20).c_str());
-  }
+  for (int i = 0; i < 100000; ++i) s.add(to_us(jitter(nominal)));
+  bench::print_row(std::to_string(pkt) + "B packets",
+                   {{"target_us", to_us(nominal)},
+                    {"p05_us", s.quantile(0.05)},
+                    {"median_us", s.median()},
+                    {"p90_us", s.quantile(0.90)},
+                    {"p99_us", s.quantile(0.99)}});
 }
-
-BENCHMARK(BM_spacing)->Args({1500, 0})->Args({9000, 0})->Iterations(1);
 
 }  // namespace
 }  // namespace ndpsim
 
-int main(int argc, char** argv) {
-  ndpsim::bench::print_banner(
+int main() {
+  using namespace ndpsim;
+  bench::print_banner(
       "Fig 12: PULL spacing at the sender for 1500B and 9000B packets",
       "medians match the 1.2us / 7.2us targets; the 1500B curve has early "
       "back-to-back pulls and a multi-x tail, the 9000B curve is tight");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  run_case(1500);
+  run_case(9000);
   return 0;
 }

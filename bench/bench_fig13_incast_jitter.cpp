@@ -2,8 +2,6 @@
 // scale) with flow sizes 10..120KB, run once with perfect pacing and once
 // with the measured pull-spacing distribution plugged into the pacer.  The
 // completion times should be indistinguishable.
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "harness/experiments.h"
 #include "host/artifacts.h"
@@ -33,29 +31,22 @@ double run_incast_fct(std::uint64_t bytes, bool jittered) {
   return res.last_fct_us;
 }
 
-void BM_jitter(benchmark::State& state) {
-  const std::uint64_t kb = static_cast<std::uint64_t>(state.range(0));
-  const bool jittered = state.range(1) != 0;
-  double fct = 0;
-  for (auto _ : state) fct = run_incast_fct(kb * 1000, jittered);
-  state.counters["last_fct_us"] = fct;
-  state.SetLabel(jittered ? "experimental pulls" : "perfect pulls");
-}
-
-BENCHMARK(BM_jitter)
-    ->ArgsProduct({{10, 20, 40, 60, 80, 120}, {0, 1}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace ndpsim
 
-int main(int argc, char** argv) {
-  ndpsim::bench::print_banner(
+int main() {
+  using namespace ndpsim;
+  bench::print_banner(
       "Fig 13: incast completion, perfect vs measured pull spacing",
       "the two curves overlap: real-world pull jitter has no discernible "
       "effect on incast FCTs");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  for (const bool jittered : {false, true}) {
+    for (const std::uint64_t kb : {10, 20, 40, 60, 80, 120}) {
+      bench::print_row(
+          std::string(jittered ? "experimental pulls" : "perfect pulls") +
+              " " + std::to_string(kb) + "KB",
+          {{"last_fct_us", run_incast_fct(kb * 1000, jittered)}});
+    }
+  }
   return 0;
 }

@@ -1,7 +1,5 @@
 // Fig 14: per-flow throughput under a permutation traffic matrix on the
 // FatTree, for NDP, MPTCP (8 subflows), DCTCP and DCQCN.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -10,27 +8,15 @@
 namespace ndpsim {
 namespace {
 
-void BM_permutation(benchmark::State& state) {
-  const auto proto = static_cast<protocol>(state.range(0));
+void run_case(protocol proto) {
   fabric_params fp;
   fp.proto = proto;
-  permutation_result res;
-  for (auto _ : state) {
-    auto bed = make_fat_tree_testbed(42, bench::default_k(), fp);
-    flow_options o;
-    o.handshake = false;
-    o.subflows = 8;
-    res = run_permutation(*bed, proto, o, from_ms(3),
-                          from_ms(bench::paper_scale() ? 20 : 8));
-  }
-  state.counters["utilization_pct"] = res.utilization * 100;
-  state.counters["mean_gbps"] = res.mean_gbps;
-  state.counters["min_gbps"] = res.flow_gbps.front();
-  state.counters["p10_gbps"] =
-      res.flow_gbps[res.flow_gbps.size() / 10];
-  state.counters["median_gbps"] = res.flow_gbps[res.flow_gbps.size() / 2];
-  state.counters["max_gbps"] = res.flow_gbps.back();
-  state.SetLabel(to_string(proto));
+  auto bed = make_fat_tree_testbed(42, bench::default_k(), fp);
+  flow_options o;
+  o.handshake = false;
+  o.subflows = 8;
+  const permutation_result res = run_permutation(
+      *bed, proto, o, from_ms(3), from_ms(bench::paper_scale() ? 20 : 8));
   // Print the sorted per-flow series (deciles) — the figure's curve.
   std::printf("%-6s per-flow Gb/s deciles:", to_string(proto));
   for (int d = 0; d <= 10; ++d) {
@@ -39,26 +25,28 @@ void BM_permutation(benchmark::State& state) {
     std::printf(" %.2f", res.flow_gbps[i]);
   }
   std::printf("\n");
+  bench::print_row(to_string(proto),
+                   {{"utilization_pct", res.utilization * 100},
+                    {"mean_gbps", res.mean_gbps},
+                    {"min_gbps", res.flow_gbps.front()},
+                    {"p10_gbps", res.flow_gbps[res.flow_gbps.size() / 10]},
+                    {"median_gbps", res.flow_gbps[res.flow_gbps.size() / 2]},
+                    {"max_gbps", res.flow_gbps.back()}});
 }
-
-BENCHMARK(BM_permutation)
-    ->Arg(static_cast<int>(protocol::ndp))
-    ->Arg(static_cast<int>(protocol::mptcp))
-    ->Arg(static_cast<int>(protocol::dctcp))
-    ->Arg(static_cast<int>(protocol::dcqcn))
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ndpsim
 
-int main(int argc, char** argv) {
-  ndpsim::bench::print_banner(
+int main() {
+  using namespace ndpsim;
+  bench::print_banner(
       "Fig 14: per-flow throughput, permutation traffic matrix",
       "NDP ~92%+ utilization with even the slowest flow near 9Gb/s; MPTCP "
       "~89%; DCTCP/DCQCN ~40% mean with some flows under 1Gb/s (per-flow "
       "ECMP collisions)");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  for (const protocol proto :
+       {protocol::ndp, protocol::mptcp, protocol::dctcp, protocol::dcqcn}) {
+    run_case(proto);
+  }
   return 0;
 }

@@ -2,8 +2,6 @@
 // while every other host sources four long-running flows to random
 // destinations — measures the standing-queue penalty each protocol imposes
 // on innocent short flows.
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "harness/experiments.h"
 #include "workload/traffic_matrix.h"
@@ -53,35 +51,24 @@ sample_set run_short_fcts(protocol proto, std::uint64_t seed) {
   return fct_ms;
 }
 
-void BM_short_fct(benchmark::State& state) {
-  const auto proto = static_cast<protocol>(state.range(0));
-  sample_set s;
-  for (auto _ : state) s = run_short_fcts(proto, 77);
-  state.counters["median_ms"] = s.median();
-  state.counters["p90_ms"] = s.quantile(0.90);
-  state.counters["p99_ms"] = s.quantile(0.99);
-  state.counters["completed"] = static_cast<double>(s.size());
-  state.SetLabel(to_string(proto));
-}
-
-BENCHMARK(BM_short_fct)
-    ->Arg(static_cast<int>(protocol::ndp))
-    ->Arg(static_cast<int>(protocol::dctcp))
-    ->Arg(static_cast<int>(protocol::dcqcn))
-    ->Arg(static_cast<int>(protocol::mptcp))
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace ndpsim
 
-int main(int argc, char** argv) {
-  ndpsim::bench::print_banner(
+int main() {
+  using namespace ndpsim;
+  bench::print_banner(
       "Fig 15: 90KB flow FCTs under random background load",
       "NDP worst case ~2x the idle optimum; DCTCP ~3x NDP's median and ~4x "
       "at the 99th; DCQCN slightly worse than DCTCP (sporadic PFC pauses); "
       "MPTCP ~10x NDP (it fills every buffer)");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  for (const protocol proto :
+       {protocol::ndp, protocol::dctcp, protocol::dcqcn, protocol::mptcp}) {
+    const sample_set s = run_short_fcts(proto, 77);
+    bench::print_row(to_string(proto),
+                     {{"median_ms", s.median()},
+                      {"p90_ms", s.quantile(0.90)},
+                      {"p99_ms", s.quantile(0.99)},
+                      {"completed", static_cast<double>(s.size())}});
+  }
   return 0;
 }

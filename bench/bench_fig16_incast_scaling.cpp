@@ -1,72 +1,50 @@
 // Fig 16: incast completion time vs the number of backend servers, 450KB
 // responses, for MPTCP, DCTCP, DCQCN and NDP. Reports both the last and the
 // first flow's completion (the spread is the fairness of the scheme).
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "harness/experiments.h"
+#include "sim/assert.h"
 #include "workload/traffic_matrix.h"
 
 namespace ndpsim {
 namespace {
 
-void BM_incast(benchmark::State& state) {
-  const auto proto = static_cast<protocol>(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
+void run_case(protocol proto, std::size_t n) {
   fabric_params fp;
   fp.proto = proto;
-  incast_result res;
-  double optimal_ms = 0;
-  for (auto _ : state) {
-    auto bed = make_fat_tree_testbed(16, bench::default_k(), fp);
-    if (n > bed->topo->n_hosts() - 1) {
-      state.SkipWithError("incast larger than topology");
-      return;
-    }
-    const auto senders =
-        incast_senders(bed->env.rng, bed->topo->n_hosts(), 0, n);
-    flow_options o;
-    o.handshake = false;
-    o.min_rto = from_us(200);  // Vasudevan-style aggressive timers for TCPs
-    res = run_incast(*bed, proto, senders, 0, 450'000, o, from_sec(20));
-    optimal_ms =
-        incast_optimal_us(n, 450'000, 9000, gbps(10), from_us(40)) / 1000.0;
-  }
-  state.counters["last_fct_ms"] = res.last_fct_us / 1000.0;
-  state.counters["first_fct_ms"] = res.first_fct_us / 1000.0;
-  state.counters["optimal_ms"] = optimal_ms;
-  state.counters["completed"] = static_cast<double>(res.completed);
-  state.SetLabel(std::string(to_string(proto)) + " n=" + std::to_string(n));
-}
-
-const std::vector<std::int64_t> kSizes() {
-  if (ndpsim::bench::paper_scale()) return {8, 16, 32, 64, 128, 256, 400};
-  return {8, 16, 32, 64, 100};
-}
-
-void register_benches() {
-  for (auto proto : {protocol::mptcp, protocol::dctcp, protocol::dcqcn,
-                     protocol::ndp}) {
-    for (auto n : kSizes()) {
-      benchmark::RegisterBenchmark("BM_incast450KB", &BM_incast)
-          ->Args({static_cast<int>(proto), n})
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
+  auto bed = make_fat_tree_testbed(16, bench::default_k(), fp);
+  NDPSIM_ASSERT_MSG(n <= bed->topo->n_hosts() - 1,
+                    "incast larger than topology");
+  const auto senders = incast_senders(bed->env.rng, bed->topo->n_hosts(), 0, n);
+  flow_options o;
+  o.handshake = false;
+  o.min_rto = from_us(200);  // Vasudevan-style aggressive timers for TCPs
+  const incast_result res =
+      run_incast(*bed, proto, senders, 0, 450'000, o, from_sec(20));
+  bench::print_row(
+      std::string(to_string(proto)) + " n=" + std::to_string(n),
+      {{"last_fct_ms", res.last_fct_us / 1000.0},
+       {"first_fct_ms", res.first_fct_us / 1000.0},
+       {"optimal_ms",
+        incast_optimal_us(n, 450'000, 9000, gbps(10), from_us(40)) / 1000.0},
+       {"completed", static_cast<double>(res.completed)}});
 }
 
 }  // namespace
 }  // namespace ndpsim
 
-int main(int argc, char** argv) {
-  ndpsim::bench::print_banner(
+int main() {
+  using namespace ndpsim;
+  bench::print_banner(
       "Fig 16: incast completion time vs number of senders (450KB each)",
       "completion grows linearly with n for NDP/DCQCN (~1% over optimal) and "
       "DCTCP (~5% over); MPTCP far above with huge spread (synchronized "
       "losses); NDP's first/last spread within ~20%");
-  ndpsim::register_benches();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  std::vector<std::size_t> sizes = {8, 16, 32, 64, 100};
+  if (bench::paper_scale()) sizes = {8, 16, 32, 64, 128, 256, 400};
+  for (const protocol proto :
+       {protocol::mptcp, protocol::dctcp, protocol::dcqcn, protocol::ndp}) {
+    for (const std::size_t n : sizes) run_case(proto, n);
+  }
   return 0;
 }

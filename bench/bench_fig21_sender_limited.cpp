@@ -2,8 +2,6 @@
 // also sends to E.  A's NIC is the bottleneck for its four flows, so E's
 // fair queuing of its pull queue must give F the residual capacity of E's
 // link while A's flows split A's link evenly — with no wasted pulls.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -14,34 +12,31 @@
 namespace ndpsim {
 namespace {
 
-void BM_sender_limited(benchmark::State& state) {
+void run_sender_limited() {
   // Hosts: A=0, B=1, C=2, D=3, E=4, F=5.
-  std::vector<double> gbps_measured(5, 0);
-  for (auto _ : state) {
-    sim_env env(21);
-    fabric_params fp;
-    fp.proto = protocol::ndp;
-    single_switch topo(env, 6, gbps(10), from_us(1),
-                       make_queue_factory(env, fp));
-    flow_factory flows(env, topo);
-    std::vector<flow*> fs;
-    flow_options o;  // unbounded
-    fs.push_back(&flows.create(protocol::ndp, 0, 1, o));  // A->B
-    fs.push_back(&flows.create(protocol::ndp, 0, 2, o));  // A->C
-    fs.push_back(&flows.create(protocol::ndp, 0, 3, o));  // A->D
-    fs.push_back(&flows.create(protocol::ndp, 0, 4, o));  // A->E
-    fs.push_back(&flows.create(protocol::ndp, 5, 4, o));  // F->E
+  sim_env env(21);
+  fabric_params fp;
+  fp.proto = protocol::ndp;
+  single_switch topo(env, 6, gbps(10), from_us(1), make_queue_factory(env, fp));
+  flow_factory flows(env, topo);
+  std::vector<flow*> fs;
+  flow_options o;  // unbounded
+  fs.push_back(&flows.create(protocol::ndp, 0, 1, o));  // A->B
+  fs.push_back(&flows.create(protocol::ndp, 0, 2, o));  // A->C
+  fs.push_back(&flows.create(protocol::ndp, 0, 3, o));  // A->D
+  fs.push_back(&flows.create(protocol::ndp, 0, 4, o));  // A->E
+  fs.push_back(&flows.create(protocol::ndp, 5, 4, o));  // F->E
 
-    env.events.run_until(from_ms(5));
-    std::vector<std::uint64_t> base;
-    for (flow* f : fs) base.push_back(f->payload_received());
-    env.events.run_until(from_ms(25));
-    for (std::size_t i = 0; i < fs.size(); ++i) {
-      gbps_measured[i] =
-          static_cast<double>(fs[i]->payload_received() - base[i]) * 8 /
-          to_sec(from_ms(20)) / 1e9;
-    }
+  env.events.run_until(from_ms(5));
+  std::vector<std::uint64_t> base;
+  for (flow* f : fs) base.push_back(f->payload_received());
+  env.events.run_until(from_ms(25));
+  std::vector<double> gbps_measured(fs.size());
+  for (std::size_t i = 0; i < fs.size(); ++i) {
+    gbps_measured[i] = static_cast<double>(fs[i]->payload_received() - base[i]) *
+                       8 / to_sec(from_ms(20)) / 1e9;
   }
+
   const char* names[] = {"A->B", "A->C", "A->D", "A->E", "F->E"};
   const double paper[] = {2.51, 2.50, 2.51, 2.38, 7.55};
   std::printf("%-6s %-10s %-10s\n", "flow", "measured", "paper");
@@ -53,23 +48,21 @@ void BM_sender_limited(benchmark::State& state) {
   }
   std::printf("total from A: %.2f (paper 9.90)  total to E: %.2f (paper 9.93)\n",
               total_a, total_e);
-  state.counters["A_to_E_gbps"] = gbps_measured[3];
-  state.counters["F_to_E_gbps"] = gbps_measured[4];
-  state.counters["total_from_A_gbps"] = total_a;
-  state.counters["total_to_E_gbps"] = total_e;
+  bench::print_row("BM_sender_limited", {{"A_to_E_gbps", gbps_measured[3]},
+                                         {"F_to_E_gbps", gbps_measured[4]},
+                                         {"total_from_A_gbps", total_a},
+                                         {"total_to_E_gbps", total_e}});
 }
-
-BENCHMARK(BM_sender_limited)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ndpsim
 
-int main(int argc, char** argv) {
-  ndpsim::bench::print_banner(
+int main() {
+  using namespace ndpsim;
+  bench::print_banner(
       "Fig 21: sender-limited topology (A->B,C,D,E and F->E)",
       "A's four flows each ~2.4-2.5Gb/s (A's link full and evenly split); "
       "F->E ~7.5Gb/s (E's link full); no pulls wasted");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  run_sender_limited();
   return 0;
 }

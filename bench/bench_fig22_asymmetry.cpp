@@ -4,8 +4,6 @@
 // mechanism NDP sprays into the black hole; MPTCP's per-path congestion
 // control also copes; single-path DCTCP flows unlucky enough to hash onto
 // the degraded link suffer.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -33,18 +31,10 @@ permutation_result run_degraded(protocol proto, bool ndp_penalty) {
   return run_permutation(*bed, proto, o, from_ms(4), from_ms(8));
 }
 
-void BM_degraded(benchmark::State& state) {
-  const auto proto = static_cast<protocol>(state.range(0));
-  const bool penalty = state.range(1) != 0;
-  permutation_result res;
-  for (auto _ : state) res = run_degraded(proto, penalty);
-  state.counters["utilization_pct"] = res.utilization * 100;
-  state.counters["min_gbps"] = res.flow_gbps.front();
-  state.counters["p10_gbps"] = res.flow_gbps[res.flow_gbps.size() / 10];
-  state.counters["median_gbps"] = res.flow_gbps[res.flow_gbps.size() / 2];
+void run_case(protocol proto, bool penalty) {
+  const permutation_result res = run_degraded(proto, penalty);
   std::string label = to_string(proto);
   if (proto == protocol::ndp && !penalty) label += " (no path penalty)";
-  state.SetLabel(label);
   std::printf("%-24s per-flow Gb/s deciles:", label.c_str());
   for (int d = 0; d <= 10; ++d) {
     const std::size_t i =
@@ -52,26 +42,26 @@ void BM_degraded(benchmark::State& state) {
     std::printf(" %.2f", res.flow_gbps[i]);
   }
   std::printf("\n");
+  bench::print_row(label,
+                   {{"utilization_pct", res.utilization * 100},
+                    {"min_gbps", res.flow_gbps.front()},
+                    {"p10_gbps", res.flow_gbps[res.flow_gbps.size() / 10]},
+                    {"median_gbps", res.flow_gbps[res.flow_gbps.size() / 2]}});
 }
-
-BENCHMARK(BM_degraded)
-    ->Args({static_cast<int>(protocol::ndp), 1})
-    ->Args({static_cast<int>(protocol::ndp), 0})
-    ->Args({static_cast<int>(protocol::mptcp), 1})
-    ->Args({static_cast<int>(protocol::dctcp), 1})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ndpsim
 
-int main(int argc, char** argv) {
-  ndpsim::bench::print_banner(
+int main() {
+  using namespace ndpsim;
+  bench::print_banner(
       "Fig 22: permutation with one core link degraded to 1Gb/s",
       "NDP with the path penalty and MPTCP route around the failure (near "
       "Fig 14 throughput); NDP without the penalty leaves many flows at a "
       "few Gb/s; a few DCTCP flows collapse to <1Gb/s");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  run_case(protocol::ndp, true);
+  run_case(protocol::ndp, false);
+  run_case(protocol::mptcp, true);
+  run_case(protocol::dctcp, true);
   return 0;
 }

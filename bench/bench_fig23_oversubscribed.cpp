@@ -17,10 +17,8 @@
 // read as a literal reproduction of the paper's fabric.  Each run emits the
 // effective ratio actually wired — host ingress capacity over ToR uplink
 // capacity, from the instantiated queues, not the config knob — as the
-// `effective_oversubscription` counter in the benchmark JSON so downstream
-// consumers can see what fabric the numbers came from.
-#include <benchmark/benchmark.h>
-
+// `effective_oversubscription` counter of its row, so readers can see what
+// fabric the numbers came from.
 #include "bench_util.h"
 #include "harness/experiments.h"
 #include "sim/telemetry.h"
@@ -101,38 +99,29 @@ load_result run_load(protocol proto, unsigned conns_per_host) {
   return r;
 }
 
-void BM_oversubscribed(benchmark::State& state) {
-  const auto proto = static_cast<protocol>(state.range(0));
-  const auto conns = static_cast<unsigned>(state.range(1));
-  load_result r{};
-  for (auto _ : state) r = run_load(proto, conns);
-  state.counters["median_ms"] = r.median_ms;
-  state.counters["p90_ms"] = r.p90_ms;
-  state.counters["p99_ms"] = r.p99_ms;
-  state.counters["flows_completed"] = r.completed;
-  state.counters["tor_uplink_trim_frac"] = r.trim_frac_tor;
-  state.counters["effective_oversubscription"] = r.effective_oversubscription;
-  state.SetLabel(std::string(to_string(proto)) +
-                 (conns <= 5 ? " medium load" : " high load"));
-}
-
-BENCHMARK(BM_oversubscribed)
-    ->ArgsProduct({{static_cast<int>(protocol::ndp),
-                    static_cast<int>(protocol::dctcp)},
-                   {5, 10}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace ndpsim
 
-int main(int argc, char** argv) {
-  ndpsim::bench::print_banner(
+int main() {
+  using namespace ndpsim;
+  bench::print_banner(
       "Fig 23: Facebook web workload, 4:1 oversubscribed fabric",
       "medium load: NDP median FCT ~half DCTCP's, ~1/3 at the 99th; high "
       "load (~70% ToR trimming): NDP still slightly ahead in median and "
       "tail, and no congestion collapse");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  for (const unsigned conns : {5, 10}) {
+    for (const protocol proto : {protocol::ndp, protocol::dctcp}) {
+      const load_result r = run_load(proto, conns);
+      bench::print_row(std::string(to_string(proto)) +
+                           (conns <= 5 ? " medium load" : " high load"),
+                       {{"median_ms", r.median_ms},
+                        {"p90_ms", r.p90_ms},
+                        {"p99_ms", r.p99_ms},
+                        {"flows_completed", r.completed},
+                        {"tor_uplink_trim_frac", r.trim_frac_tor},
+                        {"effective_oversubscription",
+                         r.effective_oversubscription}});
+    }
+  }
   return 0;
 }

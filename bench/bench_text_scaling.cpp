@@ -1,52 +1,29 @@
 // §6.2 "Larger topologies" (in-text): permutation utilization with 8-packet
 // buffers, IW 30 and 9K MTU, as the FatTree grows.  The paper reports a
 // gentle decrease from 98% at 128 hosts to 90% at 8192 hosts.
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "harness/experiments.h"
 
-namespace ndpsim {
-namespace {
-
-void BM_scaling(benchmark::State& state) {
-  const auto k = static_cast<unsigned>(state.range(0));
-  fabric_params fp;
-  fp.proto = protocol::ndp;
-  permutation_result res;
-  for (auto _ : state) {
-    auto bed = make_fat_tree_testbed(61, k, fp);
-    flow_options o;
-    o.iw_packets = 30;
-    res = run_permutation(*bed, protocol::ndp, o, from_ms(3), from_ms(6));
-  }
-  state.counters["hosts"] = static_cast<double>(k) * k * k / 4;
-  state.counters["utilization_pct"] = res.utilization * 100;
-  state.counters["min_gbps"] = res.flow_gbps.front();
-  state.SetLabel("k=" + std::to_string(k));
-}
-
-void register_benches() {
-  std::vector<std::int64_t> ks = {4, 6, 8};
-  if (ndpsim::bench::paper_scale()) ks = {4, 8, 12, 16};
-  for (auto k : ks) {
-    benchmark::RegisterBenchmark("BM_scaling", &BM_scaling)
-        ->Arg(k)
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-}
-
-}  // namespace
-}  // namespace ndpsim
-
-int main(int argc, char** argv) {
-  ndpsim::bench::print_banner(
+int main() {
+  using namespace ndpsim;
+  bench::print_banner(
       "Text §6.2: permutation utilization vs topology size",
       "utilization decreases gently with size (98% at 128 hosts -> 90% at "
       "8192 in the paper) while buffers stay at 8 packets");
-  ndpsim::register_benches();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  std::vector<unsigned> ks = {4, 6, 8};
+  if (bench::paper_scale()) ks = {4, 8, 12, 16};
+  for (const unsigned k : ks) {
+    fabric_params fp;
+    fp.proto = protocol::ndp;
+    auto bed = make_fat_tree_testbed(61, k, fp);
+    flow_options o;
+    o.iw_packets = 30;
+    const permutation_result res =
+        run_permutation(*bed, protocol::ndp, o, from_ms(3), from_ms(6));
+    bench::print_row("k=" + std::to_string(k),
+                     {{"hosts", static_cast<double>(k) * k * k / 4},
+                      {"utilization_pct", res.utilization * 100},
+                      {"min_gbps", res.flow_gbps.front()}});
+  }
   return 0;
 }

@@ -8,21 +8,6 @@
 namespace ndpsim {
 namespace {
 
-void add_counters(telemetry_counters& a, const telemetry_counters& b) {
-  a.enq_pkts += b.enq_pkts;
-  a.enq_bytes += b.enq_bytes;
-  a.deq_pkts += b.deq_pkts;
-  a.deq_bytes += b.deq_bytes;
-  a.drop_pkts += b.drop_pkts;
-  a.drop_bytes += b.drop_bytes;
-  a.trim_pkts += b.trim_pkts;
-  a.trim_bytes += b.trim_bytes;
-  a.bounce_pkts += b.bounce_pkts;
-  a.bounce_bytes += b.bounce_bytes;
-  a.mark_pkts += b.mark_pkts;
-  a.stale_drops += b.stale_drops;
-}
-
 // Fixed serialization order of telemetry_counters: declaration order.
 constexpr std::size_t kCounterFields = 12;
 
@@ -206,9 +191,9 @@ void telemetry_summary::add(const telemetry_summary& other) {
   if (!other.present) return;
   present = true;
   armed_slots += other.armed_slots;
-  add_counters(queues, other.queues);
-  add_counters(pipes, other.pipes);
-  add_counters(demuxes, other.demuxes);
+  queues.add(other.queues);
+  pipes.add(other.pipes);
+  demuxes.add(other.demuxes);
 }
 
 telemetry_summary telemetry_summary::from_plane(const telemetry_plane& p) {

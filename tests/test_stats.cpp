@@ -316,8 +316,50 @@ TEST(fct_summary, merge_accumulates_exact_fields_and_sketch) {
   r2.flow_completed(1, from_us(1000));
   r2.flow_started(2, 0, 1);  // open
 
+  // Telemetry halves: every field of every component distinct, so a field
+  // summed into the wrong place shows.
+  const auto counters = [](std::uint64_t base) {
+    telemetry_counters c;
+    std::uint64_t v = base;
+    for (std::uint64_t* f :
+         {&c.enq_pkts, &c.enq_bytes, &c.deq_pkts, &c.deq_bytes, &c.drop_pkts,
+          &c.drop_bytes, &c.trim_pkts, &c.trim_bytes, &c.bounce_pkts,
+          &c.bounce_bytes, &c.mark_pkts, &c.stale_drops}) {
+      *f = ++v;
+    }
+    return c;
+  };
+  const auto with_plane = [&counters](std::uint64_t base, std::uint64_t slots) {
+    telemetry_summary t;
+    t.present = true;
+    t.armed_slots = slots;
+    t.queues = counters(base);
+    t.pipes = counters(base + 100);
+    t.demuxes = counters(base + 200);
+    return t;
+  };
+  const auto expect_sum = [](const telemetry_counters& got,
+                             const telemetry_counters& x,
+                             const telemetry_counters& y) {
+    EXPECT_EQ(got.enq_pkts, x.enq_pkts + y.enq_pkts);
+    EXPECT_EQ(got.enq_bytes, x.enq_bytes + y.enq_bytes);
+    EXPECT_EQ(got.deq_pkts, x.deq_pkts + y.deq_pkts);
+    EXPECT_EQ(got.deq_bytes, x.deq_bytes + y.deq_bytes);
+    EXPECT_EQ(got.drop_pkts, x.drop_pkts + y.drop_pkts);
+    EXPECT_EQ(got.drop_bytes, x.drop_bytes + y.drop_bytes);
+    EXPECT_EQ(got.trim_pkts, x.trim_pkts + y.trim_pkts);
+    EXPECT_EQ(got.trim_bytes, x.trim_bytes + y.trim_bytes);
+    EXPECT_EQ(got.bounce_pkts, x.bounce_pkts + y.bounce_pkts);
+    EXPECT_EQ(got.bounce_bytes, x.bounce_bytes + y.bounce_bytes);
+    EXPECT_EQ(got.mark_pkts, x.mark_pkts + y.mark_pkts);
+    EXPECT_EQ(got.stale_drops, x.stale_drops + y.stale_drops);
+  };
+
   fct_summary a = fct_summary::from_recorder(r1);
-  const fct_summary b = fct_summary::from_recorder(r2);
+  a.tele = with_plane(0, 3);
+  fct_summary b = fct_summary::from_recorder(r2);
+  b.tele = with_plane(1000, 5);
+  const telemetry_summary a_tele = a.tele;
   a.merge_from(b);
   EXPECT_EQ(a.flows, 2u);
   EXPECT_EQ(a.still_open, 1u);
@@ -326,6 +368,20 @@ TEST(fct_summary, merge_accumulates_exact_fields_and_sketch) {
   EXPECT_DOUBLE_EQ(a.max_us, 1000.0);
   EXPECT_DOUBLE_EQ(a.sum_us, 1010.0);
   EXPECT_EQ(a.sketch.count(), 2u);
+  EXPECT_TRUE(a.tele.present);
+  EXPECT_EQ(a.tele.armed_slots, 8u);
+  expect_sum(a.tele.queues, a_tele.queues, b.tele.queues);
+  expect_sum(a.tele.pipes, a_tele.pipes, b.tele.pipes);
+  expect_sum(a.tele.demuxes, a_tele.demuxes, b.tele.demuxes);
+
+  // A summary whose job carried no plane adds nothing to the telemetry,
+  // whatever its counter fields hold.
+  fct_summary no_plane;
+  no_plane.tele = with_plane(5000, 7);
+  no_plane.tele.present = false;
+  const telemetry_summary merged = a.tele;
+  a.merge_from(no_plane);
+  EXPECT_EQ(a.tele, merged);
 
   // Merging into an empty summary adopts the other's min/max.
   fct_summary empty;
