@@ -61,12 +61,12 @@ const char* variant_name(variant v) {
 }
 
 queue_factory factory_for(sim_env& env, variant v) {
-  return [&env, v](link_level level, std::size_t, linkspeed_bps rate,
-                   const std::string& name) -> std::unique_ptr<queue_base> {
+  return [&env, v](link_level level, std::size_t,
+                   linkspeed_bps rate) -> std::unique_ptr<queue_base> {
     if (level == link_level::host_up) {
-      return std::make_unique<host_priority_queue>(env, rate, name);
+      return std::make_unique<host_priority_queue>(env, rate);
     }
-    return std::make_unique<ndp_queue>(env, rate, make_cfg(v), name);
+    return std::make_unique<ndp_queue>(env, rate, make_cfg(v));
   };
 }
 
@@ -110,15 +110,14 @@ void run_overload(variant v) {
 void run_tiny_flow_incast(variant v) {
   sim_env env(6);
   const std::size_t n = 60;
-  auto factory = [&env, v](link_level level, std::size_t, linkspeed_bps rate,
-                           const std::string& name)
+  auto factory = [&env, v](link_level level, std::size_t, linkspeed_bps rate)
       -> std::unique_ptr<queue_base> {
     if (level == link_level::host_up) {
-      return std::make_unique<host_priority_queue>(env, rate, name);
+      return std::make_unique<host_priority_queue>(env, rate);
     }
     ndp_queue_config c = make_cfg(v);
     c.header_capacity_bytes = 8 * kHeaderBytes;  // stress the header queue
-    return std::make_unique<ndp_queue>(env, rate, c, name);
+    return std::make_unique<ndp_queue>(env, rate, c);
   };
   single_switch star(env, n + 1, gbps(10), from_us(1), factory);
   pull_pacer pacer(env, gbps(10));

@@ -115,7 +115,7 @@ std::size_t current_rss_bytes() {
 /// do_next_event target for the timer-churn microbench: counts fires.
 class counting_source final : public event_source {
  public:
-  explicit counting_source(event_list& el) : event_source(el, "flow") {}
+  explicit counting_source(event_list& el) : event_source(el) {}
   void do_next_event() override { ++fires; }
   std::uint64_t fires = 0;
   timer_handle rto;
@@ -172,7 +172,7 @@ double ticks_new(std::size_t sources, std::uint64_t total_events) {
   event_list el;
   struct tick_source final : event_source {
     tick_source(event_list& el, simtime_t period)
-        : event_source(el, "tick"), period_(period) {}
+        : event_source(el), period_(period) {}
     void do_next_event() override {
       timer_ = events().schedule_in(*this, period_);
     }
@@ -968,10 +968,9 @@ route_setup_result run_route_setup() {
   fat_tree_config tc;
   tc.k = kK;
   fat_tree ft(env, tc,
-              [&env](link_level, std::size_t, linkspeed_bps rate,
-                     const std::string& name) -> std::unique_ptr<queue_base> {
-                return std::make_unique<drop_tail_queue>(env, rate, 100 * 9000,
-                                                         name);
+              [&env](link_level, std::size_t,
+                     linkspeed_bps rate) -> std::unique_ptr<queue_base> {
+                return std::make_unique<drop_tail_queue>(env, rate, 100 * 9000);
               });
   const auto matrix = permutation_matrix(env.rng, ft.n_hosts());
   const auto t0 = std::chrono::steady_clock::now();

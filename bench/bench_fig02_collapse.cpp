@@ -29,18 +29,18 @@ collapse_result run_collapse(bool use_ndp_queue, std::size_t n_flows,
                              std::uint64_t seed) {
   sim_env env(seed);
   const std::uint32_t mtu = 9000;
-  auto factory = [&](link_level level, std::size_t, linkspeed_bps rate,
-                     const std::string& name) -> std::unique_ptr<queue_base> {
+  auto factory = [&](link_level level, std::size_t,
+                     linkspeed_bps rate) -> std::unique_ptr<queue_base> {
     if (level == link_level::host_up) {
-      return std::make_unique<host_priority_queue>(env, rate, name);
+      return std::make_unique<host_priority_queue>(env, rate);
     }
     if (use_ndp_queue) {
       ndp_queue_config c;
       c.data_capacity_bytes = 8ull * mtu;
       c.header_capacity_bytes = 8ull * mtu;
-      return std::make_unique<ndp_queue>(env, rate, c, name);
+      return std::make_unique<ndp_queue>(env, rate, c);
     }
-    return std::make_unique<cp_queue>(env, rate, 8ull * mtu, name);
+    return std::make_unique<cp_queue>(env, rate, 8ull * mtu);
   };
   single_switch star(env, n_flows + 1, gbps(10), from_us(1), factory);
   const auto rx = static_cast<std::uint32_t>(n_flows);

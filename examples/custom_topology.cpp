@@ -29,16 +29,16 @@ int main() {
   // per link level. Here: 6-packet data queues and a header queue of only
   // four headers, so large incasts must fall back to return-to-sender.
   queue_factory factory = [&env](link_level level, std::size_t,
-                                 linkspeed_bps rate, const std::string& name)
+                                 linkspeed_bps rate)
       -> std::unique_ptr<queue_base> {
     if (level == link_level::host_up) {
-      return std::make_unique<host_priority_queue>(env, rate, name);
+      return std::make_unique<host_priority_queue>(env, rate);
     }
     ndp_queue_config qc;
     qc.data_capacity_bytes = 6 * 9000;
     qc.header_capacity_bytes = 2 * kHeaderBytes;
     qc.enable_rts = true;
-    return std::make_unique<ndp_queue>(env, rate, qc, name);
+    return std::make_unique<ndp_queue>(env, rate, qc);
   };
 
   // 6 leaves x 4 hosts, 3 spines.

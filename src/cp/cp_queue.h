@@ -23,10 +23,8 @@ class cp_queue final : public queue_base {
  public:
   /// `capacity_bytes` bounds buffered *data* bytes; headers and control
   /// packets are always admitted.
-  cp_queue(sim_env& env, linkspeed_bps rate, std::uint64_t capacity_bytes,
-           std::string name = "cpq")
-      : queue_base(env, rate, std::move(name)),
-        capacity_(capacity_bytes) {}
+  cp_queue(sim_env& env, linkspeed_bps rate, std::uint64_t capacity_bytes)
+      : queue_base(env, rate), capacity_(capacity_bytes) {}
 
   [[nodiscard]] std::uint64_t buffered_bytes() const override {
     return bytes_;

@@ -7,8 +7,8 @@
 namespace ndpsim {
 
 dcqcn_source::dcqcn_source(sim_env& env, dcqcn_config cfg,
-                           std::uint32_t flow_id, std::string name)
-    : event_source(env.events, std::move(name), dispatch_class::transport_timer),
+                           std::uint32_t flow_id)
+    : event_source(env.events, dispatch_class::transport_timer),
       env_(env),
       cfg_(cfg),
       flow_id_(flow_id),
@@ -144,7 +144,6 @@ void dcqcn_source::receive(packet& p) {
 
 void dcqcn_source::on_cnp() {
   ++stats_.cnps_received;
-  ++stats_.rate_cuts;
   last_cnp_ = env_.now();
   rt_ = rc_;
   rc_ = static_cast<linkspeed_bps>(static_cast<double>(rc_) *
@@ -161,7 +160,6 @@ void dcqcn_source::rate_increase_event() {
   // DCQCN stages (Zhu et al., Fig/Alg 1): fast recovery for the first F
   // events of either counter; additive increase once either counter passes
   // F; hyper increase when both have.
-  ++stats_.increase_events;
   if (std::max(timer_stage_, byte_stage_) <= cfg_.f_stages) {
     // Fast recovery: move halfway back to the target rate.
   } else if (std::min(timer_stage_, byte_stage_) <= cfg_.f_stages) {

@@ -46,14 +46,11 @@ struct dcqcn_config {
 struct dcqcn_stats {
   std::uint64_t packets_sent = 0;
   std::uint64_t cnps_received = 0;
-  std::uint64_t rate_cuts = 0;
-  std::uint64_t increase_events = 0;
 };
 
 class dcqcn_source final : public packet_sink, public event_source {
  public:
-  dcqcn_source(sim_env& env, dcqcn_config cfg, std::uint32_t flow_id,
-               std::string name = "dcqcnsrc");
+  dcqcn_source(sim_env& env, dcqcn_config cfg, std::uint32_t flow_id);
   ~dcqcn_source() override;
 
   /// Single path (RoCE flows are pinned): path 0 of the borrowed set.

@@ -20,9 +20,8 @@ struct dctcp_config {
 class dctcp_source final : public tcp_source {
  public:
   dctcp_source(sim_env& env, tcp_config cfg, dctcp_config dcfg,
-               std::uint32_t flow_id, std::string name = "dctcpsrc")
-      : tcp_source(env, [&] { cfg.ecn = true; return cfg; }(), flow_id,
-                   std::move(name)),
+               std::uint32_t flow_id)
+      : tcp_source(env, [&] { cfg.ecn = true; return cfg; }(), flow_id),
         dcfg_(dcfg) {}
 
   [[nodiscard]] double alpha() const { return alpha_; }

@@ -23,8 +23,7 @@ class ndp_flow final : public flow {
     sc.rto = o.ndp_rto;
     sc.mode = o.mode;
     sc.penalty.enabled = o.path_penalty;
-    source_ = std::make_unique<ndp_source>(env, sc, fid,
-                                           "ndpsrc" + std::to_string(fid));
+    source_ = std::make_unique<ndp_source>(env, sc, fid);
     ndp_sink_config kc;
     kc.mss_bytes = o.mss_bytes;
     kc.pull_class = o.pull_class;
@@ -47,12 +46,10 @@ class ndp_flow final : public flow {
   void on_complete(std::function<void()> cb) override {
     sink_->set_complete_callback(std::move(cb));
   }
-  void set_priority(std::uint8_t cls) override { sink_->set_pull_class(cls); }
   void set_latency_callback(std::function<void(simtime_t)> cb) override {
     source_->set_latency_callback(std::move(cb));
   }
   [[nodiscard]] ndp_source* ndp_src() override { return source_.get(); }
-  [[nodiscard]] ndp_sink* ndp_snk() override { return sink_.get(); }
 
  private:
   std::unique_ptr<ndp_source> source_;
@@ -69,11 +66,9 @@ class tcp_flow final : public flow {
     tc.handshake = o.handshake;
     tc.max_cwnd_mss = o.max_cwnd_mss;
     if (dctcp) {
-      source_ = std::make_unique<dctcp_source>(env, tc, dctcp_config{}, fid,
-                                               "dctcp" + std::to_string(fid));
+      source_ = std::make_unique<dctcp_source>(env, tc, dctcp_config{}, fid);
     } else {
-      source_ = std::make_unique<tcp_source>(env, tc, fid,
-                                             "tcp" + std::to_string(fid));
+      source_ = std::make_unique<tcp_source>(env, tc, fid);
     }
     sink_ = std::make_unique<tcp_sink>(env, fid);
     source_->connect(*sink_, ps, s, d, o.bytes, o.start);
@@ -107,8 +102,7 @@ class mptcp_flow final : public flow {
     tc.min_rto = o.min_rto;
     tc.handshake = o.handshake;
     tc.max_cwnd_mss = o.max_cwnd_mss;
-    source_ = std::make_unique<mptcp_source>(env, tc, fid,
-                                             "mptcp" + std::to_string(fid));
+    source_ = std::make_unique<mptcp_source>(env, tc, fid);
     source_->connect(ps, subflows, s, d, o.bytes, o.start);
   }
 
@@ -137,8 +131,7 @@ class dcqcn_flow final : public flow {
     dcqcn_config dc;
     dc.mss_bytes = o.mss_bytes;
     dc.line_rate = line_rate;
-    source_ = std::make_unique<dcqcn_source>(env, dc, fid,
-                                             "dcqcn" + std::to_string(fid));
+    source_ = std::make_unique<dcqcn_source>(env, dc, fid);
     sink_ = std::make_unique<dcqcn_sink>(env, fid);
     source_->connect(*sink_, ps, s, d, o.bytes, o.start);
   }
@@ -168,8 +161,7 @@ class phost_flow final : public flow {
              const flow_options& o) {
     phost_config pc;
     pc.mss_bytes = o.mss_bytes;
-    source_ = std::make_unique<phost_source>(env, pc, fid,
-                                             "phost" + std::to_string(fid));
+    source_ = std::make_unique<phost_source>(env, pc, fid);
     sink_ = std::make_unique<phost_sink>(env, pacer, pc, fid);
     source_->connect(*sink_, ps, s, d, o.bytes, o.start);
   }
@@ -202,8 +194,7 @@ pull_pacer& flow_factory::ndp_pacer(std::uint32_t host) {
   if (it == pull_pacers_.end()) {
     it = pull_pacers_
              .emplace(host, std::make_unique<pull_pacer>(
-                                env_, topo_.host_link_speed(host),
-                                "pacer" + std::to_string(host)))
+                                env_, topo_.host_link_speed(host)))
              .first;
   }
   return *it->second;
@@ -214,8 +205,7 @@ phost_token_pacer& flow_factory::phost_pacer(std::uint32_t host) {
   if (it == token_pacers_.end()) {
     it = token_pacers_
              .emplace(host, std::make_unique<phost_token_pacer>(
-                                env_, topo_.host_link_speed(host),
-                                "tokens" + std::to_string(host)))
+                                env_, topo_.host_link_speed(host)))
              .first;
   }
   return *it->second;

@@ -62,13 +62,10 @@ class flow {
   /// `flow_factory::destroy` before the flow object is freed, so teardown is
   /// explicit rather than destructor-order-dependent.
   virtual void retire() = 0;
-  /// Receiver-side priority (NDP pull classes); no-op elsewhere.
-  virtual void set_priority(std::uint8_t /*cls*/) {}
   /// Per-packet delivery latency samples (NDP only).
   virtual void set_latency_callback(std::function<void(simtime_t)> /*cb*/) {}
-  /// Protocol-specific escapes for stats collection (null when not NDP).
+  /// Protocol-specific escape for stats collection (null when not NDP).
   [[nodiscard]] virtual ndp_source* ndp_src() { return nullptr; }
-  [[nodiscard]] virtual ndp_sink* ndp_snk() { return nullptr; }
 
   /// Names this transfer alone: the factory never hands an id out twice.
   std::uint32_t id = 0;

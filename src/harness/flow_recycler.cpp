@@ -8,9 +8,8 @@ namespace ndpsim {
 
 flow_recycler::flow_recycler(sim_env& env, fabric_instance& topo,
                              flow_factory& flows, recycler_config cfg,
-                             pair_picker pick_pair, size_picker pick_size,
-                             std::string name)
-    : event_source(env.events, std::move(name)),
+                             pair_picker pick_pair, size_picker pick_size)
+    : event_source(env.events),
       env_(env),
       flows_(flows),
       cfg_(cfg),

@@ -61,8 +61,7 @@ class flow_recycler final : public event_source {
 
   flow_recycler(sim_env& env, fabric_instance& topo, flow_factory& flows,
                 recycler_config cfg, pair_picker pick_pair,
-                size_picker pick_size = {},
-                std::string name = "flow_recycler");
+                size_picker pick_size = {});
 
   /// Launch the initial population (closed loop: the fixed number of
   /// concurrently live flows; open loop: `initial` immediate arrivals, then

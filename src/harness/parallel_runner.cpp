@@ -86,12 +86,6 @@ void parallel_runner::run_streaming(
   }
 }
 
-fct_recorder merge_fcts(const std::vector<experiment_outcome>& outcomes) {
-  fct_recorder merged;
-  for (const auto& o : outcomes) merged.merge_from(o.fcts);
-  return merged;
-}
-
 std::shared_ptr<telemetry_plane> merge_telemetry(
     const std::vector<experiment_outcome>& outcomes) {
   std::shared_ptr<telemetry_plane> merged;

@@ -102,11 +102,6 @@ class parallel_runner {
   unsigned threads_;
 };
 
-/// All completed flows of a sweep folded into one recorder (outcome order,
-/// which is config order — deterministic).
-[[nodiscard]] fct_recorder merge_fcts(
-    const std::vector<experiment_outcome>& outcomes);
-
 /// Per-job telemetry planes folded into one by counter summation (outcome
 /// order; jobs without a plane are skipped).  All planes present must share
 /// one slot layout — true whenever the sweep's jobs instantiate the same

@@ -18,11 +18,8 @@ constexpr std::uint64_t kLosslessCapacityPkts = 4000;
 }  // namespace
 
 queue_factory make_queue_factory(sim_env& env, const fabric_params& params) {
-  // Takes the lazy `name_ref` as-is (no formatting): at k=32 the fabric
-  // builds ~100k queues and eager names dominated construction.
   return [&env, params](link_level level, std::size_t /*index*/,
-                        linkspeed_bps rate,
-                        name_ref name) -> std::unique_ptr<queue_base> {
+                        linkspeed_bps rate) -> std::unique_ptr<queue_base> {
     const std::uint64_t mtu = params.mtu_bytes;
     if (level == link_level::host_up) {
       // Window-based transports get a finite NIC (same sizing as the fabric
@@ -31,30 +28,28 @@ queue_factory make_queue_factory(sim_env& env, const fabric_params& params) {
                             params.proto == protocol::dctcp ||
                             params.proto == protocol::mptcp;
       const std::uint64_t cap = windowed ? params.droptail_pkts * mtu : 0;
-      return std::make_unique<host_priority_queue>(env, rate, name, cap);
+      return std::make_unique<host_priority_queue>(env, rate, cap);
     }
     switch (params.proto) {
       case protocol::ndp: {
         ndp_queue_config qc;
         qc.data_capacity_bytes = params.ndp_data_pkts * mtu;
         qc.header_capacity_bytes = qc.data_capacity_bytes;
-        return std::make_unique<ndp_queue>(env, rate, qc, name);
+        return std::make_unique<ndp_queue>(env, rate, qc);
       }
       case protocol::tcp:
       case protocol::mptcp:
-        return std::make_unique<drop_tail_queue>(
-            env, rate, params.droptail_pkts * mtu, name);
+        return std::make_unique<drop_tail_queue>(env, rate,
+                                                 params.droptail_pkts * mtu);
       case protocol::dctcp:
         return std::make_unique<ecn_threshold_queue>(
-            env, rate, params.droptail_pkts * mtu,
-            kEcnThresholdPkts * mtu, name);
+            env, rate, params.droptail_pkts * mtu, kEcnThresholdPkts * mtu);
       case protocol::dcqcn:
         return std::make_unique<red_ecn_queue>(
             env, rate, kLosslessCapacityPkts * mtu, kRedKminPkts * mtu,
-            kRedKmaxPkts * mtu, kRedPmax, name);
+            kRedKmaxPkts * mtu, kRedPmax);
       case protocol::phost:
-        return std::make_unique<drop_tail_queue>(env, rate, kPhostPkts * mtu,
-                                                 name);
+        return std::make_unique<drop_tail_queue>(env, rate, kPhostPkts * mtu);
     }
     NDPSIM_ASSERT_MSG(false, "unknown protocol");
     return nullptr;

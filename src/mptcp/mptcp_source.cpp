@@ -31,9 +31,8 @@ void mptcp_subflow::on_bytes_acked(std::uint64_t newly_acked) {
   parent_.note_acked(newly_acked);
 }
 
-mptcp_source::mptcp_source(sim_env& env, tcp_config cfg, std::uint32_t flow_id,
-                           std::string name)
-    : env_(env), cfg_(cfg), flow_id_(flow_id), name_(std::move(name)) {}
+mptcp_source::mptcp_source(sim_env& env, tcp_config cfg, std::uint32_t flow_id)
+    : env_(env), cfg_(cfg), flow_id_(flow_id) {}
 
 void mptcp_source::connect(path_set paths, unsigned n_subflows,
                            std::uint32_t src_host, std::uint32_t dst_host,
@@ -44,8 +43,7 @@ void mptcp_source::connect(path_set paths, unsigned n_subflows,
   remaining_ = flow_bytes == 0 ? UINT64_MAX : flow_bytes;
   for (std::size_t i = 0; i < k; ++i) {
     auto& sub = subflows_.emplace_back(std::make_unique<mptcp_subflow>(
-        env_, cfg_, flow_id_ + static_cast<std::uint32_t>(i), *this,
-        name_ + ".sub" + std::to_string(i)));
+        env_, cfg_, flow_id_ + static_cast<std::uint32_t>(i), *this));
     auto& sink = sinks_.emplace_back(std::make_unique<tcp_sink>(
         env_, flow_id_ + static_cast<std::uint32_t>(i)));
     // Subflows get an unbounded budget; actual allocation happens through

@@ -26,8 +26,8 @@ class mptcp_source;
 class mptcp_subflow final : public tcp_source {
  public:
   mptcp_subflow(sim_env& env, tcp_config cfg, std::uint32_t flow_id,
-                mptcp_source& parent, std::string name)
-      : tcp_source(env, cfg, flow_id, std::move(name)), parent_(parent) {}
+                mptcp_source& parent)
+      : tcp_source(env, cfg, flow_id), parent_(parent) {}
 
  protected:
   std::uint32_t claim_payload(std::uint32_t max) override;
@@ -40,8 +40,7 @@ class mptcp_subflow final : public tcp_source {
 
 class mptcp_source {
  public:
-  mptcp_source(sim_env& env, tcp_config cfg, std::uint32_t flow_id,
-               std::string name = "mptcp");
+  mptcp_source(sim_env& env, tcp_config cfg, std::uint32_t flow_id);
 
   /// One subflow per path (typically 8): subflow i is pinned to path
   /// i % paths.size() of the borrowed set, so more subflows than distinct
@@ -79,7 +78,6 @@ class mptcp_source {
   sim_env& env_;
   tcp_config cfg_;
   std::uint32_t flow_id_;
-  std::string name_;
   std::vector<std::unique_ptr<mptcp_subflow>> subflows_;
   std::vector<std::unique_ptr<tcp_sink>> sinks_;
   std::uint64_t flow_bytes_ = 0;

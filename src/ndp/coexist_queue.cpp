@@ -3,16 +3,15 @@
 namespace ndpsim {
 
 coexist_queue::coexist_queue(sim_env& env, linkspeed_bps rate,
-                             coexist_config cfg, std::string name)
-    : queue_base(env, rate, name), cfg_(cfg) {
-  ndp_side_ = std::make_unique<ndp_queue>(env, rate, cfg_.ndp, name + ".ndp");
+                             coexist_config cfg)
+    : queue_base(env, rate), cfg_(cfg) {
+  ndp_side_ = std::make_unique<ndp_queue>(env, rate, cfg_.ndp);
   if (cfg_.tcp_ecn_threshold_bytes > 0) {
     tcp_side_ = std::make_unique<ecn_threshold_queue>(
-        env, rate, cfg_.tcp_capacity_bytes, cfg_.tcp_ecn_threshold_bytes,
-        name + ".tcp");
+        env, rate, cfg_.tcp_capacity_bytes, cfg_.tcp_ecn_threshold_bytes);
   } else {
-    tcp_side_ = std::make_unique<drop_tail_queue>(
-        env, rate, cfg_.tcp_capacity_bytes, name + ".tcp");
+    tcp_side_ = std::make_unique<drop_tail_queue>(env, rate,
+                                                  cfg_.tcp_capacity_bytes);
   }
 }
 

@@ -27,8 +27,7 @@ struct coexist_config {
 
 class coexist_queue final : public queue_base {
  public:
-  coexist_queue(sim_env& env, linkspeed_bps rate, coexist_config cfg,
-                std::string name = "coexist");
+  coexist_queue(sim_env& env, linkspeed_bps rate, coexist_config cfg);
 
   [[nodiscard]] std::uint64_t buffered_bytes() const override {
     return ndp_side_->buffered_bytes() + tcp_side_->buffered_bytes();

@@ -31,10 +31,8 @@ struct ndp_queue_config {
 
 class ndp_queue final : public queue_base {
  public:
-  ndp_queue(sim_env& env, linkspeed_bps rate, ndp_queue_config cfg,
-            name_ref name = "ndpq")
-      : queue_base(env, rate, std::move(name)),
-        cfg_(cfg) {}
+  ndp_queue(sim_env& env, linkspeed_bps rate, ndp_queue_config cfg)
+      : queue_base(env, rate), cfg_(cfg) {}
 
   [[nodiscard]] std::uint64_t buffered_bytes() const override {
     return data_bytes_ + hdr_bytes_;
@@ -42,8 +40,6 @@ class ndp_queue final : public queue_base {
   [[nodiscard]] std::size_t buffered_packets() const override {
     return data_.size() + hdr_.size();
   }
-  [[nodiscard]] std::uint64_t data_bytes() const { return data_bytes_; }
-  [[nodiscard]] std::uint64_t header_bytes() const { return hdr_bytes_; }
   [[nodiscard]] const ndp_queue_config& config() const { return cfg_; }
 
   /// Trim a data packet to a header in place (shared with the P4 pipeline

@@ -28,7 +28,6 @@ void ndp_sink::receive(packet& p) {
   NDPSIM_ASSERT(p.flow_id == flow_id_);
 
   if (p.has_flag(pkt_flag::trimmed)) {
-    ++stats_.headers;
     send_control(packet_type::ndp_nack, p.seqno, p.path_id);
     ++stats_.nacks_sent;
     note_arrival_for_pull();
@@ -36,7 +35,6 @@ void ndp_sink::receive(packet& p) {
     return;
   }
 
-  ++stats_.data_packets;
   const bool is_new =
       p.seqno > cum_received_ && ooo_.find(p.seqno) == ooo_.end();
   if (is_new) {
@@ -54,7 +52,6 @@ void ndp_sink::receive(packet& p) {
 
   // Always ACK, even duplicates: the sender needs to free its copy.
   send_control(packet_type::ndp_ack, p.seqno, p.path_id);
-  ++stats_.acks_sent;
 
   if (complete()) {
     if (completion_time_ < 0) {
@@ -101,7 +98,6 @@ void ndp_sink::send_control(packet_type type, std::uint64_t seqno,
 
 void ndp_sink::issue_pull() {
   ++pull_counter_;
-  ++stats_.pulls_sent;
   packet* p = env_.pool.alloc();
   p->type = packet_type::ndp_pull;
   p->priority = 1;

@@ -26,12 +26,8 @@ struct ndp_sink_config {
 };
 
 struct ndp_sink_stats {
-  std::uint64_t data_packets = 0;
   std::uint64_t duplicate_packets = 0;
-  std::uint64_t headers = 0;  ///< trimmed arrivals
-  std::uint64_t acks_sent = 0;
   std::uint64_t nacks_sent = 0;
-  std::uint64_t pulls_sent = 0;
   std::uint64_t payload_bytes = 0;
 };
 
@@ -58,10 +54,7 @@ class ndp_sink final : public packet_sink {
     on_complete_ = std::move(cb);
   }
 
-  void set_pull_class(std::uint8_t cls) {
-    NDPSIM_ASSERT(cls < kPullClasses);
-    cfg_.pull_class = cls;
-  }
+  /// Fixed at construction (`ndp_sink_config::pull_class`).
   [[nodiscard]] std::uint8_t pull_class() const { return cfg_.pull_class; }
 
   [[nodiscard]] bool complete() const {

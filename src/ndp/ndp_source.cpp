@@ -7,8 +7,8 @@
 namespace ndpsim {
 
 ndp_source::ndp_source(sim_env& env, ndp_source_config cfg,
-                       std::uint32_t flow_id, std::string name)
-    : event_source(env.events, std::move(name), dispatch_class::transport_timer),
+                       std::uint32_t flow_id)
+    : event_source(env.events, dispatch_class::transport_timer),
       env_(env),
       cfg_(cfg),
       flow_id_(flow_id),

@@ -53,8 +53,7 @@ struct ndp_source_stats {
 
 class ndp_source final : public packet_sink, public event_source {
  public:
-  ndp_source(sim_env& env, ndp_source_config cfg, std::uint32_t flow_id,
-             std::string name = "ndpsrc");
+  ndp_source(sim_env& env, ndp_source_config cfg, std::uint32_t flow_id);
   ~ndp_source() override;
 
   /// Wire up a connection over a borrowed multipath set (shared interned

@@ -5,8 +5,8 @@
 namespace ndpsim {
 
 p4_ndp_pipeline::p4_ndp_pipeline(sim_env& env, linkspeed_bps rate,
-                                 p4_pipeline_config cfg, std::string name)
-    : queue_base(env, rate, std::move(name)), cfg_(cfg) {}
+                                 p4_pipeline_config cfg)
+    : queue_base(env, rate), cfg_(cfg) {}
 
 void p4_ndp_pipeline::enqueue_arrival(packet& p) {
   // Ingress pipeline.

@@ -28,8 +28,7 @@ struct p4_pipeline_config {
 
 class p4_ndp_pipeline final : public queue_base {
  public:
-  p4_ndp_pipeline(sim_env& env, linkspeed_bps rate, p4_pipeline_config cfg,
-                  std::string name = "p4ndp");
+  p4_ndp_pipeline(sim_env& env, linkspeed_bps rate, p4_pipeline_config cfg);
 
   [[nodiscard]] std::uint64_t buffered_bytes() const override {
     return qs_register_ + hdr_bytes_;

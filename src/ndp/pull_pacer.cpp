@@ -6,8 +6,10 @@
 
 namespace ndpsim {
 
-pull_pacer::pull_pacer(sim_env& env, linkspeed_bps link_rate, std::string name)
-    : event_source(env.events, std::move(name), dispatch_class::pacer_tick), env_(env), rate_(link_rate) {
+pull_pacer::pull_pacer(sim_env& env, linkspeed_bps link_rate)
+    : event_source(env.events, dispatch_class::pacer_tick),
+      env_(env),
+      rate_(link_rate) {
   NDPSIM_ASSERT(rate_ > 0);
 }
 
@@ -34,9 +36,7 @@ void pull_pacer::purge(ndp_sink& sink) {
 void pull_pacer::remove(ndp_sink& sink) {
   purge(sink);
   if (sink.in_ring_) {
-    // Scan every class: a re-classed sink can sit in a ring other than its
-    // current pull_class() until the pacer rotates past it.
-    for (auto& ring : rings_) (void)ring.erase_value(&sink);
+    (void)rings_[sink.pull_class()].erase_value(&sink);
     sink.in_ring_ = false;
   }
 }
@@ -64,7 +64,7 @@ void pull_pacer::send_one() {
       ndp_sink* sink = ring.front();
       ring.pop_front();
       if (sink->pulls_pending_ == 0) {
-        // Purged or re-classed entry: drop it from the ring.
+        // Purged entry: drop it from the ring.
         sink->in_ring_ = false;
         continue;
       }
@@ -76,7 +76,6 @@ void pull_pacer::send_one() {
         sink->in_ring_ = false;
       }
       sink->issue_pull();
-      ++pulls_sent_;
       // Pace so the elicited data packets arrive at our link rate. Jitter
       // (replaying the prototype's imperfect timing, Fig 12) perturbs each
       // release around an *ideal* schedule: late pulls are followed by

@@ -23,8 +23,7 @@ inline constexpr std::size_t kPullClasses = 4;  ///< 0 = lowest priority
 
 class pull_pacer final : public event_source {
  public:
-  pull_pacer(sim_env& env, linkspeed_bps link_rate,
-             std::string name = "pullpacer");
+  pull_pacer(sim_env& env, linkspeed_bps link_rate);
 
   /// One more pull owed to `sink`'s sender.
   void enqueue(ndp_sink& sink);
@@ -47,7 +46,6 @@ class pull_pacer final : public event_source {
 
   void do_next_event() override;
 
-  [[nodiscard]] std::uint64_t pulls_sent() const { return pulls_sent_; }
   [[nodiscard]] std::size_t backlog() const { return backlog_; }
   [[nodiscard]] linkspeed_bps link_rate() const { return rate_; }
 
@@ -63,7 +61,6 @@ class pull_pacer final : public event_source {
   simtime_t next_send_ = 0;
   simtime_t ideal_next_ = 0;  ///< unjittered schedule (rate conservation)
   timer_handle timer_;        ///< the one armed release timer
-  std::uint64_t pulls_sent_ = 0;
   std::size_t backlog_ = 0;
 };
 

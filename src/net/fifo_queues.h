@@ -11,10 +11,9 @@ namespace ndpsim {
 /// Drop-tail FIFO with a byte capacity.
 class drop_tail_queue : public queue_base {
  public:
-  drop_tail_queue(sim_env& env, linkspeed_bps rate, std::uint64_t capacity_bytes,
-                  name_ref name = "droptail")
-      : queue_base(env, rate, std::move(name)),
-        capacity_(capacity_bytes) {}
+  drop_tail_queue(sim_env& env, linkspeed_bps rate,
+                  std::uint64_t capacity_bytes)
+      : queue_base(env, rate), capacity_(capacity_bytes) {}
 
   [[nodiscard]] std::uint64_t buffered_bytes() const override { return bytes_; }
   [[nodiscard]] std::size_t buffered_packets() const override {
@@ -55,10 +54,8 @@ class drop_tail_queue : public queue_base {
 class ecn_threshold_queue final : public drop_tail_queue {
  public:
   ecn_threshold_queue(sim_env& env, linkspeed_bps rate,
-                      std::uint64_t capacity_bytes, std::uint64_t mark_bytes,
-                      name_ref name = "ecn")
-      : drop_tail_queue(env, rate, capacity_bytes, std::move(name)),
-        mark_bytes_(mark_bytes) {}
+                      std::uint64_t capacity_bytes, std::uint64_t mark_bytes)
+      : drop_tail_queue(env, rate, capacity_bytes), mark_bytes_(mark_bytes) {}
 
  protected:
   void enqueue_arrival(packet& p) override {
@@ -83,9 +80,8 @@ class ecn_threshold_queue final : public drop_tail_queue {
 class red_ecn_queue final : public drop_tail_queue {
  public:
   red_ecn_queue(sim_env& env, linkspeed_bps rate, std::uint64_t capacity_bytes,
-                std::uint64_t kmin_bytes, std::uint64_t kmax_bytes, double pmax,
-                name_ref name = "red")
-      : drop_tail_queue(env, rate, capacity_bytes, std::move(name)),
+                std::uint64_t kmin_bytes, std::uint64_t kmax_bytes, double pmax)
+      : drop_tail_queue(env, rate, capacity_bytes),
         kmin_(kmin_bytes),
         kmax_(kmax_bytes),
         pmax_(pmax) {
@@ -129,10 +125,8 @@ class red_ecn_queue final : public drop_tail_queue {
 class host_priority_queue final : public queue_base {
  public:
   host_priority_queue(sim_env& env, linkspeed_bps rate,
-                      name_ref name = "hostnic",
                       std::uint64_t data_capacity_bytes = 0)
-      : queue_base(env, rate, std::move(name)),
-        data_capacity_(data_capacity_bytes) {}
+      : queue_base(env, rate), data_capacity_(data_capacity_bytes) {}
 
   [[nodiscard]] std::uint64_t buffered_bytes() const override {
     return bytes_;

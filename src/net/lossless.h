@@ -14,8 +14,6 @@
 // hook that credits the tagged ingress.
 #pragma once
 
-#include <utility>
-
 #include "net/queue.h"
 
 namespace ndpsim {
@@ -25,9 +23,8 @@ class pfc_ingress final : public packet_sink, public event_source {
   /// `upstream` is the transmitter across the inbound link (an egress queue of
   /// the neighbour switch or a host NIC); `pause_delay` the link propagation.
   pfc_ingress(sim_env& env, queue_base* upstream, simtime_t pause_delay,
-              std::uint64_t xoff_bytes, std::uint64_t xon_bytes,
-              name_ref name = "pfc")
-      : event_source(env.events, std::move(name)),
+              std::uint64_t xoff_bytes, std::uint64_t xon_bytes)
+      : event_source(env.events),
         upstream_(upstream),
         pause_delay_(pause_delay),
         // PAUSE/RESUME propagation is monotone (fixed delay), so signals
@@ -75,7 +72,6 @@ class pfc_ingress final : public packet_sink, public event_source {
 
   [[nodiscard]] std::uint64_t buffered_bytes() const { return buffered_; }
   [[nodiscard]] std::uint64_t pauses_sent() const { return pauses_sent_; }
-  [[nodiscard]] bool pause_requested() const { return pause_requested_; }
 
   /// Depart hook suitable for any lossless egress queue.
   static void credit_on_depart(packet& p) {

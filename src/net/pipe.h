@@ -13,8 +13,6 @@
 // lane.
 #pragma once
 
-#include <utility>
-
 #include "net/packet.h"
 #include "net/route.h"
 #include "net/sim_env.h"
@@ -25,8 +23,8 @@ namespace ndpsim {
 
 class pipe final : public packet_sink, public event_source {
  public:
-  pipe(sim_env& env, simtime_t delay, name_ref name = "pipe")
-      : event_source(env.events, std::move(name), dispatch_class::pipe_expiry),
+  pipe(sim_env& env, simtime_t delay)
+      : event_source(env.events, dispatch_class::pipe_expiry),
         delay_(delay),
         lane_(env.events.lane_for(dispatch_class::pipe_expiry, delay)) {
     NDPSIM_ASSERT(delay_ >= 0);

@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "net/packet.h"
 #include "net/route.h"
@@ -47,9 +46,8 @@ class queue_base : public packet_sink, public event_source {
   friend class coexist_queue;
 
  public:
-  queue_base(sim_env& env, linkspeed_bps rate, name_ref name)
-      : event_source(env.events, std::move(name),
-                     dispatch_class::queue_service),
+  queue_base(sim_env& env, linkspeed_bps rate)
+      : event_source(env.events, dispatch_class::queue_service),
         env_(env),
         rate_(rate) {
     NDPSIM_ASSERT(rate > 0);

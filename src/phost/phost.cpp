@@ -7,8 +7,8 @@ namespace ndpsim {
 // ---------------------------------------------------------------- phost_source
 
 phost_source::phost_source(sim_env& env, phost_config cfg,
-                           std::uint32_t flow_id, std::string name)
-    : event_source(env.events, std::move(name), dispatch_class::transport_timer),
+                           std::uint32_t flow_id)
+    : event_source(env.events, dispatch_class::transport_timer),
       env_(env),
       cfg_(cfg),
       flow_id_(flow_id) {
@@ -113,9 +113,8 @@ void phost_source::receive(packet& p) {
 
 // ----------------------------------------------------------- phost_token_pacer
 
-phost_token_pacer::phost_token_pacer(sim_env& env, linkspeed_bps rate,
-                                     std::string name)
-    : event_source(env.events, std::move(name), dispatch_class::pacer_tick),
+phost_token_pacer::phost_token_pacer(sim_env& env, linkspeed_bps rate)
+    : event_source(env.events, dispatch_class::pacer_tick),
       env_(env),
       rate_(rate) {}
 

@@ -42,8 +42,7 @@ struct phost_config {
 
 class phost_source final : public packet_sink, public event_source {
  public:
-  phost_source(sim_env& env, phost_config cfg, std::uint32_t flow_id,
-               std::string name = "phostsrc");
+  phost_source(sim_env& env, phost_config cfg, std::uint32_t flow_id);
   ~phost_source() override;
 
   /// Wire up over a borrowed multipath set (data is sprayed per packet).
@@ -87,8 +86,7 @@ class phost_source final : public packet_sink, public event_source {
 /// Per-receiving-host token pacer: round-robin across its active flows.
 class phost_token_pacer final : public event_source {
  public:
-  phost_token_pacer(sim_env& env, linkspeed_bps rate,
-                    std::string name = "phostpacer");
+  phost_token_pacer(sim_env& env, linkspeed_bps rate);
 
   void activate(phost_sink& sink);
   void deactivate(phost_sink& sink);

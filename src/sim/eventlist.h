@@ -51,12 +51,10 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "net/ring_fifo.h"
 #include "sim/assert.h"
-#include "sim/name_ref.h"
 #include "sim/time.h"
 
 namespace ndpsim {
@@ -78,9 +76,9 @@ inline constexpr std::size_t kNDispatchClasses = 5;
 /// Base class for anything that can be scheduled on the event list.
 class event_source {
  public:
-  event_source(event_list& events, name_ref name,
-               dispatch_class cls = dispatch_class::generic)
-      : events_(events), name_(std::move(name)), cls_(cls) {}
+  explicit event_source(event_list& events,
+                        dispatch_class cls = dispatch_class::generic)
+      : events_(events), cls_(cls) {}
   virtual ~event_source() = default;
 
   event_source(const event_source&) = delete;
@@ -96,12 +94,9 @@ class event_source {
 
   [[nodiscard]] event_list& events() const { return events_; }
   [[nodiscard]] dispatch_class dispatch_cls() const { return cls_; }
-  /// The component name, formatted on demand (see sim/name_ref.h).
-  [[nodiscard]] std::string name() const { return name_.str(); }
 
  private:
   event_list& events_;
-  name_ref name_;
   dispatch_class cls_;
 };
 

@@ -5,7 +5,9 @@
 // [queue, pipe, pfc?] per directed link, then one demux slot per host), so
 // arming telemetry costs no per-component allocation and a hot-path update
 // is a single indexed increment on a pointer the component cached at arm
-// time.
+// time.  Components carry no names: output names a slot through the
+// plane's `name_pool`, the blueprint, whose `format_name` builds names such
+// as "aggup3.1.2.pipe" from its link records on demand.
 //
 // The plane is the simulator's only store of fabric counters: queues, pipes
 // and demuxes keep none of their own.  The cost contract, in two modes:
@@ -34,7 +36,6 @@
 
 #include "sim/assert.h"
 #include "sim/eventlist.h"
-#include "sim/name_ref.h"
 
 namespace ndpsim {
 
@@ -207,6 +208,14 @@ enum class telemetry_kind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(telemetry_kind k);
 
+/// Formats a slot's name from its id, for telemetry output.  The
+/// `fabric_blueprint` implements it from its link records.
+class name_pool {
+ public:
+  virtual ~name_pool() = default;
+  [[nodiscard]] virtual std::string format_name(std::uint32_t id) const = 0;
+};
+
 /// Registry + counter storage for one simulation.  Pre-sized to the
 /// blueprint's slot count; `arm` marks a slot live and returns the pointer
 /// the component caches.
@@ -264,7 +273,6 @@ class telemetry_plane {
     if (names_ != nullptr) return names_->format_name(slot);
     return "slot" + std::to_string(slot);
   }
-  [[nodiscard]] const name_pool* names() const { return names_; }
 
   /// Fold another job's plane into this one (counter sums).  Slot layouts
   /// must match — true for sweeps sharing one blueprint.
@@ -314,7 +322,7 @@ class telemetry_collector final : public event_source {
 
   telemetry_collector(event_list& events, telemetry_plane& plane,
                       simtime_t epoch, std::size_t capacity = 256)
-      : event_source(events, "telemetry_collector"),
+      : event_source(events),
         plane_(plane),
         epoch_(epoch),
         capacity_(capacity) {

@@ -48,9 +48,6 @@ namespace detail {
 [[nodiscard]] constexpr double to_us(simtime_t t) {
   return static_cast<double>(t) / static_cast<double>(kMicrosecond);
 }
-[[nodiscard]] constexpr double to_ms(simtime_t t) {
-  return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
 [[nodiscard]] constexpr double to_sec(simtime_t t) {
   return static_cast<double>(t) / static_cast<double>(kSecond);
 }

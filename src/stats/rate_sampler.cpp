@@ -4,8 +4,8 @@ namespace ndpsim {
 
 rate_sampler::rate_sampler(sim_env& env,
                            std::function<std::uint64_t()> counter,
-                           simtime_t interval, std::string name)
-    : event_source(env.events, std::move(name)),
+                           simtime_t interval)
+    : event_source(env.events),
       env_(env),
       counter_(std::move(counter)),
       interval_(interval) {

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "net/sim_env.h"
@@ -15,7 +14,7 @@ class rate_sampler final : public event_source {
  public:
   /// `counter` returns a monotonically non-decreasing byte count.
   rate_sampler(sim_env& env, std::function<std::uint64_t()> counter,
-               simtime_t interval, std::string name = "rates");
+               simtime_t interval);
 
   void start(simtime_t at);
   /// Stop polling (cancels the pending poll timer).

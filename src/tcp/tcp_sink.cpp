@@ -5,7 +5,6 @@ namespace ndpsim {
 void tcp_sink::receive(packet& p) {
   NDPSIM_ASSERT(p.type == packet_type::tcp_data);
   NDPSIM_ASSERT(p.flow_id == flow_id_);
-  ++packets_;
   const bool syn = p.has_flag(pkt_flag::syn);
   const bool echo = p.has_flag(pkt_flag::ce);
 

@@ -29,7 +29,6 @@ class tcp_sink final : public packet_sink {
 
   [[nodiscard]] std::uint64_t cumulative_acked() const { return cum_; }
   [[nodiscard]] std::uint64_t payload_received() const { return payload_; }
-  [[nodiscard]] std::uint64_t packets_received() const { return packets_; }
   [[nodiscard]] std::uint32_t flow_id() const { return flow_id_; }
 
  private:
@@ -44,7 +43,6 @@ class tcp_sink final : public packet_sink {
   std::uint64_t cum_ = 0;  ///< all bytes < cum_ received
   std::map<std::uint64_t, std::uint64_t> ooo_;  ///< start -> end, disjoint
   std::uint64_t payload_ = 0;
-  std::uint64_t packets_ = 0;
 };
 
 }  // namespace ndpsim

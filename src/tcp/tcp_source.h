@@ -42,8 +42,7 @@ struct tcp_stats {
 
 class tcp_source : public packet_sink, public event_source {
  public:
-  tcp_source(sim_env& env, tcp_config cfg, std::uint32_t flow_id,
-             std::string name = "tcpsrc");
+  tcp_source(sim_env& env, tcp_config cfg, std::uint32_t flow_id);
   ~tcp_source() override;
 
   /// Wire up over a borrowed path set; single path (per-flow ECMP), so path

@@ -1,15 +1,15 @@
 // Immutable fabric structure, split from per-simulation state.
 //
 // A `fabric_blueprint` is an env-free description of a fabric's wiring: flat
-// link records (level, flat index, rate, delay, slot assignment), an
-// interned name pool (component names are formatted lazily from the records
-// — see sim/name_ref.h), and a structural path table that interns each
-// (src, dst, path) route exactly once as a sequence of **sink-slot ids**
-// rather than device pointers.  Because nothing in it touches a `sim_env`,
-// one blueprint is shared read-only by any number of `fabric_instance`s —
-// including concurrently across `parallel_runner` jobs (the structural path
-// table interns lazily under a mutex; everything else is immutable after
-// construction).
+// link records (level, flat index, rate, delay, slot assignment), slot names
+// formatted on demand from those records (it is the telemetry plane's
+// `name_pool`: only telemetry output names a slot), and a structural path
+// table that interns each (src, dst, path) route exactly once as a sequence
+// of **sink-slot ids** rather than device pointers.  Because nothing in it
+// touches a `sim_env`, one blueprint is shared read-only by any number of
+// `fabric_instance`s — including concurrently across `parallel_runner` jobs
+// (the structural path table interns lazily under a mutex; everything else
+// is immutable after construction).
 //
 // Every fabric is one geometry: pods of ToRs and aggregation switches, with
 // a core layer joining the pods when there is more than one.  A k-ary
@@ -40,7 +40,7 @@
 #include <vector>
 
 #include "net/sim_env.h"
-#include "sim/name_ref.h"
+#include "sim/telemetry.h"
 #include "topo/topology.h"
 
 namespace ndpsim {
@@ -159,9 +159,9 @@ class fabric_blueprint final : public name_pool {
     return demux_base_ + host;
   }
 
-  // --- name pool ---------------------------------------------------------
+  // --- slot names ---------------------------------------------------------
   /// Format the name of a sink slot ("aggup3.1.2", "...pipe", "...pfc",
-  /// "demux17").  Cold path — only called when someone reads a name.
+  /// "demux17").  Cold path — only telemetry output reads slot names.
   [[nodiscard]] std::string format_name(std::uint32_t slot) const override;
 
   // --- structural path table --------------------------------------------

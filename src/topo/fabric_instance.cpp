@@ -28,9 +28,9 @@ fabric_instance::fabric_instance(sim_env& env,
   telemetry_plane* const tp = env_.telemetry.get();
   for (std::uint32_t id = 0; id < links.size(); ++id) {
     const auto& l = links[id];
-    auto q = make_queue(l.level, l.index, l.rate, name_ref(*bp_, l.first_slot));
+    auto q = make_queue(l.level, l.index, l.rate);
     NDPSIM_ASSERT(q != nullptr);
-    pipes_.emplace_back(env_, l.delay, name_ref(*bp_, l.first_slot + 1));
+    pipes_.emplace_back(env_, l.delay);
     sinks_[l.first_slot] = q.get();
     sinks_[l.first_slot + 1] = &pipes_.back();
     if (tp != nullptr) {
@@ -45,7 +45,7 @@ fabric_instance::fabric_instance(sim_env& env,
     }
     if (l.has_ingress) {
       ingresses_.emplace_back(env_, q.get(), l.delay, pfc.xoff_bytes,
-                              pfc.xon_bytes, name_ref(*bp_, l.first_slot + 2));
+                              pfc.xon_bytes);
       sinks_[l.first_slot + 2] = &ingresses_.back();
     }
     by_level_[static_cast<std::size_t>(l.level)].push_back(q.get());

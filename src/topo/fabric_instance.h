@@ -7,8 +7,8 @@
 // table indexed by blueprint slot id.  Routes are the blueprint's interned
 // slot sequences resolved through that table (`net/route.h`), so N parallel
 // jobs over one blueprint share all structural route state and duplicate
-// only the mutable per-env objects.  Component names are lazy `name_ref`s
-// into the blueprint's name pool: instantiation formats nothing.
+// only the mutable per-env objects.  Components carry no names; telemetry
+// output names a slot through the blueprint (`fabric_blueprint::format_name`).
 //
 // Every fabric is an instance: `fat_tree` (topo/fat_tree.h) and the micro
 // testbeds (topo/micro_topo.h) are thin constructors over their blueprints.

@@ -34,14 +34,9 @@ enum class link_level : std::uint8_t {
   return "?";
 }
 
-/// Builds the egress queue for one directed link.  `name` is lazy (see
-/// sim/name_ref.h): factories that forward it untouched cost no formatting;
-/// legacy factories written against `const std::string&` still work — the
-/// implicit conversion formats eagerly at the call boundary.
-using queue_factory =
-    std::function<std::unique_ptr<queue_base>(link_level level,
-                                              std::size_t index,
-                                              linkspeed_bps rate,
-                                              name_ref name)>;
+/// Builds the egress queue for one directed link, given its level, its
+/// flat index within the level and its rate.
+using queue_factory = std::function<std::unique_ptr<queue_base>(
+    link_level level, std::size_t index, linkspeed_bps rate)>;
 
 }  // namespace ndpsim

@@ -4,8 +4,8 @@ namespace ndpsim {
 
 cbr_source::cbr_source(sim_env& env, linkspeed_bps rate,
                        std::uint32_t mss_bytes, std::uint32_t flow_id,
-                       double jitter_frac, std::string name)
-    : event_source(env.events, std::move(name), dispatch_class::pacer_tick),
+                       double jitter_frac)
+    : event_source(env.events, dispatch_class::pacer_tick),
       env_(env),
       rate_(rate),
       mss_bytes_(mss_bytes),

@@ -47,8 +47,7 @@ class cbr_source final : public event_source {
   /// `jitter_frac` adds uniform timing noise of +-(jitter/2) x period to each
   /// send, modelling OS/NIC scheduling variability (keeps mean rate exact).
   cbr_source(sim_env& env, linkspeed_bps rate, std::uint32_t mss_bytes,
-             std::uint32_t flow_id, double jitter_frac = 0.0,
-             std::string name = "cbr");
+             std::uint32_t flow_id, double jitter_frac = 0.0);
   ~cbr_source() override;
 
   /// Send forever from `start_at`, at `rate`, over path 0 of the borrowed

@@ -7,8 +7,8 @@ namespace ndpsim {
 closed_loop_generator::closed_loop_generator(
     sim_env& env, std::size_t n_hosts, unsigned flows_per_host,
     const flow_size_distribution& sizes, simtime_t median_gap,
-    flow_starter starter, std::string name)
-    : event_source(env.events, std::move(name)),
+    flow_starter starter)
+    : event_source(env.events),
       env_(env),
       n_hosts_(n_hosts),
       flows_per_host_(flows_per_host),

@@ -25,8 +25,7 @@ class closed_loop_generator final : public event_source {
   closed_loop_generator(sim_env& env, std::size_t n_hosts,
                         unsigned flows_per_host,
                         const flow_size_distribution& sizes,
-                        simtime_t median_gap, flow_starter starter,
-                        std::string name = "closedloop");
+                        simtime_t median_gap, flow_starter starter);
 
   /// Launch the initial population (staggered over one gap).
   void start();

@@ -36,11 +36,8 @@ TEST_P(bounce_math, header_returns_to_source_endpoint) {
   auto fwd = std::make_unique<owned_route>();
   auto rev = std::make_unique<owned_route>();
   for (int i = 0; i < n; ++i) {
-    fq[i] = std::make_unique<ndp_queue>(env, gbps(10),
-                                        i == t ? jammed : roomy,
-                                        "f" + std::to_string(i));
-    rq[i] = std::make_unique<ndp_queue>(env, gbps(10), roomy,
-                                        "r" + std::to_string(i));
+    fq[i] = std::make_unique<ndp_queue>(env, gbps(10), i == t ? jammed : roomy);
+    rq[i] = std::make_unique<ndp_queue>(env, gbps(10), roomy);
     fp[i] = std::make_unique<pipe>(env, from_us(1));
     rp[i] = std::make_unique<pipe>(env, from_us(1));
     fwd->push_back(fq[i].get());

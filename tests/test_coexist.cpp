@@ -136,13 +136,12 @@ TEST(coexist_integration, tcp_and_ndp_flows_share_a_port_fairly) {
   // One long TCP flow and one long NDP flow into the same host, through a
   // coexistence port: each should get roughly half the link.
   sim_env env(33);
-  auto factory = [&env](link_level level, std::size_t, linkspeed_bps rate,
-                        const std::string& name) -> std::unique_ptr<queue_base> {
+  auto factory = [&env](link_level level, std::size_t,
+                        linkspeed_bps rate) -> std::unique_ptr<queue_base> {
     if (level == link_level::host_up) {
-      return std::make_unique<host_priority_queue>(env, rate, name,
-                                                   200 * 9000ull);
+      return std::make_unique<host_priority_queue>(env, rate, 200 * 9000ull);
     }
-    return std::make_unique<coexist_queue>(env, rate, coexist_config{}, name);
+    return std::make_unique<coexist_queue>(env, rate, coexist_config{});
   };
   single_switch star(env, 3, gbps(10), from_us(1), factory);
 

@@ -14,14 +14,14 @@ namespace {
 queue_factory red_factory(sim_env& env, std::uint32_t kmin_pkts = 5,
                           std::uint32_t kmax_pkts = 20) {
   return [&env, kmin_pkts, kmax_pkts](
-             link_level level, std::size_t, linkspeed_bps rate,
-             const std::string& name) -> std::unique_ptr<queue_base> {
+             link_level level, std::size_t,
+             linkspeed_bps rate) -> std::unique_ptr<queue_base> {
     if (level == link_level::host_up) {
-      return std::make_unique<host_priority_queue>(env, rate, name);
+      return std::make_unique<host_priority_queue>(env, rate);
     }
     return std::make_unique<red_ecn_queue>(env, rate, 4000ull * 9000,
                                            kmin_pkts * 9000ull,
-                                           kmax_pkts * 9000ull, 0.2, name);
+                                           kmax_pkts * 9000ull, 0.2);
   };
 }
 

@@ -13,13 +13,13 @@ namespace {
 queue_factory ecn_factory(sim_env& env, std::uint32_t cap_pkts,
                           std::uint32_t k_pkts) {
   return [&env, cap_pkts, k_pkts](
-             link_level level, std::size_t, linkspeed_bps rate,
-             const std::string& name) -> std::unique_ptr<queue_base> {
+             link_level level, std::size_t,
+             linkspeed_bps rate) -> std::unique_ptr<queue_base> {
     if (level == link_level::host_up) {
-      return std::make_unique<host_priority_queue>(env, rate, name);
+      return std::make_unique<host_priority_queue>(env, rate);
     }
     return std::make_unique<ecn_threshold_queue>(
-        env, rate, cap_pkts * 9000ull, k_pkts * 9000ull, name);
+        env, rate, cap_pkts * 9000ull, k_pkts * 9000ull);
   };
 }
 

@@ -11,7 +11,7 @@ namespace {
 class probe : public event_source {
  public:
   probe(event_list& el, std::vector<std::pair<int, simtime_t>>* log, int id)
-      : event_source(el, "probe"), log_(log), id_(id) {}
+      : event_source(el), log_(log), id_(id) {}
   void do_next_event() override { log_->emplace_back(id_, events().now()); }
 
  private:
@@ -228,7 +228,7 @@ TEST(eventlist, batch_runs_all_equal_timestamps_including_newly_scheduled) {
   std::vector<std::pair<int, simtime_t>> log;
   // `spawner` schedules another probe at its own (current) timestamp.
   struct spawner final : event_source {
-    spawner(event_list& e, probe* tail) : event_source(e, "spawn"), tail_(tail) {}
+    spawner(event_list& e, probe* tail) : event_source(e), tail_(tail) {}
     void do_next_event() override { events().schedule_at(*tail_, events().now()); }
     probe* tail_;
   };
@@ -270,7 +270,7 @@ TEST(eventlist, run_all_event_budget_throws) {
   // A source that reschedules itself forever must trip the budget backstop.
   event_list el;
   struct looper : event_source {
-    explicit looper(event_list& e) : event_source(e, "loop") {}
+    explicit looper(event_list& e) : event_source(e) {}
     void do_next_event() override { events().schedule_in(*this, 1); }
   } l(el);
   el.schedule_at(l, 0);
@@ -283,7 +283,7 @@ TEST(eventlist, run_all_event_budget_trips_inside_a_zero_delay_batch) {
   // would hang instead of throwing.
   event_list el;
   struct zero_looper : event_source {
-    explicit zero_looper(event_list& e) : event_source(e, "loop0") {}
+    explicit zero_looper(event_list& e) : event_source(e) {}
     void do_next_event() override { events().schedule_in(*this, 0); }
   } l(el);
   el.schedule_at(l, 0);

@@ -1,5 +1,5 @@
 // Structure/state split: one immutable fabric_blueprint shared by many
-// per-env fabric_instances.  Covers blueprint geometry, lazy name
+// per-env fabric_instances.  Covers blueprint geometry, slot name
 // formatting, structural-path interning shared across instances, mutable
 // state isolation between instances of one blueprint, and serial-vs-parallel
 // determinism of a sweep over a shared blueprint or private fabrics.
@@ -18,10 +18,9 @@ namespace ndpsim {
 namespace {
 
 queue_factory droptail_factory(sim_env& env) {
-  return [&env](link_level, std::size_t, linkspeed_bps rate,
-                name_ref name) -> std::unique_ptr<queue_base> {
-    return std::make_unique<drop_tail_queue>(env, rate, 100 * 9000,
-                                             std::move(name));
+  return [&env](link_level, std::size_t,
+                linkspeed_bps rate) -> std::unique_ptr<queue_base> {
+    return std::make_unique<drop_tail_queue>(env, rate, 100 * 9000);
   };
 }
 
@@ -101,28 +100,33 @@ TEST(fabric_blueprint, speed_override_is_baked_into_link_records) {
   EXPECT_EQ(ft.queues_at(link_level::agg_up)[1]->rate(), gbps(10));
 }
 
-TEST(fabric_blueprint, names_format_lazily_from_the_pool) {
+TEST(fabric_blueprint, slot_names_format_from_link_records) {
   sim_env env;
   fat_tree ft(env, ft_cfg(4), droptail_factory(env));
-  // Same names the eager builder used to format at construction time.
-  EXPECT_EQ(ft.queues_at(link_level::host_up)[3]->name(), "hostup3");
-  EXPECT_EQ(ft.queues_at(link_level::tor_up)[3]->name(), "torup1.1");
-  EXPECT_EQ(ft.queues_at(link_level::agg_up)[5]->name(), "aggup1.0.1");
-  EXPECT_EQ(ft.queues_at(link_level::core_down)[6]->name(), "coredn1.2");
-  EXPECT_EQ(ft.queues_at(link_level::agg_down)[7]->name(), "aggdn1.1.1");
-  EXPECT_EQ(ft.queues_at(link_level::tor_down)[9]->name(), "tordn4.1");
-  // Pipe and demux slots format with their suffixes.
   const auto* bp = ft.blueprint();
+  const struct {
+    link_level level;
+    std::size_t index;
+    const char* name;
+  } cases[] = {
+      {link_level::host_up, 3, "hostup3"},
+      {link_level::tor_up, 3, "torup1.1"},
+      {link_level::agg_up, 5, "aggup1.0.1"},
+      {link_level::core_down, 6, "coredn1.2"},
+      {link_level::agg_down, 7, "aggdn1.1.1"},
+      {link_level::tor_down, 9, "tordn4.1"},
+  };
+  for (const auto& c : cases) {
+    const std::uint32_t slot =
+        bp->links()[bp->link_id(c.level, c.index)].first_slot;
+    EXPECT_EQ(bp->format_name(slot), c.name);
+    // The queue the instance built for (level, index) sits at that slot.
+    EXPECT_EQ(ft.sink_table()[slot],
+              static_cast<packet_sink*>(ft.queues_at(c.level)[c.index]));
+  }
+  // Pipe and demux slots format with their suffixes.
   EXPECT_EQ(bp->format_name(bp->links()[0].first_slot + 1), "hostup0.pipe");
   EXPECT_EQ(bp->format_name(bp->demux_slot(7)), "demux7");
-}
-
-TEST(fabric_blueprint, owned_string_names_still_work) {
-  sim_env env;
-  drop_tail_queue q(env, gbps(10), 9000, "hand-built");
-  EXPECT_EQ(q.name(), "hand-built");
-  pipe p(env, from_us(1));
-  EXPECT_EQ(p.name(), "pipe");
 }
 
 TEST(fabric_blueprint, structural_paths_intern_once_across_instances) {

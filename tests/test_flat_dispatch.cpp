@@ -359,7 +359,7 @@ std::vector<int>* g_log = nullptr;
 class zero_delay_source final : public event_source {
  public:
   zero_delay_source(event_list& ev, int id, std::uint32_t lane, int fires)
-      : event_source(ev, "zd", dispatch_class::pacer_tick),
+      : event_source(ev, dispatch_class::pacer_tick),
         id_(id),
         lane_(lane),
         remaining_(fires) {}
@@ -390,7 +390,7 @@ class zero_delay_source final : public event_source {
 class heap_ticker final : public event_source {
  public:
   heap_ticker(event_list& ev, int id, int fires, simtime_t period)
-      : event_source(ev, "heap_ticker"),
+      : event_source(ev),
         id_(id),
         remaining_(fires),
         period_(period) {}

@@ -19,9 +19,9 @@ namespace ndpsim {
 namespace {
 
 queue_factory droptail_factory(sim_env& env) {
-  return [&env](link_level, std::size_t, linkspeed_bps rate,
-                const std::string& name) -> std::unique_ptr<queue_base> {
-    return std::make_unique<drop_tail_queue>(env, rate, 100 * 9000, name);
+  return [&env](link_level, std::size_t,
+                linkspeed_bps rate) -> std::unique_ptr<queue_base> {
+    return std::make_unique<drop_tail_queue>(env, rate, 100 * 9000);
   };
 }
 

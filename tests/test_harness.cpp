@@ -13,15 +13,15 @@ TEST(queue_factory_harness, builds_protocol_specific_queues) {
   fabric_params p;
   p.proto = protocol::ndp;
   auto f = make_queue_factory(env, p);
-  auto host = f(link_level::host_up, 0, gbps(10), "h");
-  auto sw = f(link_level::tor_down, 0, gbps(10), "t");
+  auto host = f(link_level::host_up, 0, gbps(10));
+  auto sw = f(link_level::tor_down, 0, gbps(10));
   EXPECT_EQ(host->buffered_packets(), 0u);
   // NDP switch queue trims rather than drops.
   EXPECT_NE(dynamic_cast<ndp_queue*>(sw.get()), nullptr);
 
   p.proto = protocol::dctcp;
   auto f2 = make_queue_factory(env, p);
-  auto sw2 = f2(link_level::agg_up, 0, gbps(10), "t2");
+  auto sw2 = f2(link_level::agg_up, 0, gbps(10));
   EXPECT_NE(dynamic_cast<ecn_threshold_queue*>(sw2.get()), nullptr);
 }
 

@@ -33,7 +33,7 @@ TEST(host_nic, unbounded_by_default) {
 TEST(host_nic, data_cap_drops_excess_data) {
   sim_env env;
   recording_sink sink(env);
-  host_priority_queue q(env, gbps(10), "nic", 3 * 9000);
+  host_priority_queue q(env, gbps(10), 3 * 9000);
   const auto tp = testing::arm(q);
   owned_route r;
   r.push_back(&q);
@@ -49,7 +49,7 @@ TEST(host_nic, data_cap_drops_excess_data) {
 TEST(host_nic, control_ignores_the_data_cap) {
   sim_env env;
   recording_sink sink(env);
-  host_priority_queue q(env, gbps(10), "nic", 9000);
+  host_priority_queue q(env, gbps(10), 9000);
   const auto tp = testing::arm(q);
   q.set_paused(true);
   owned_route r;
@@ -73,7 +73,7 @@ TEST(host_nic, control_ignores_the_data_cap) {
 TEST(host_nic, cap_accounts_data_only) {
   sim_env env;
   recording_sink sink(env);
-  host_priority_queue q(env, gbps(10), "nic", 2 * 9000);
+  host_priority_queue q(env, gbps(10), 2 * 9000);
   const auto tp = testing::arm(q);
   q.set_paused(true);
   owned_route r;
@@ -103,10 +103,9 @@ TEST_P(fat_tree_paths, interpod_paths_are_pairwise_distinct) {
   sim_env env;
   fat_tree_config cfg;
   cfg.k = GetParam();
-  fat_tree ft(env, cfg, [&env](link_level, std::size_t, linkspeed_bps rate,
-                               const std::string& name) {
+  fat_tree ft(env, cfg, [&env](link_level, std::size_t, linkspeed_bps rate) {
     return std::unique_ptr<queue_base>(
-        std::make_unique<drop_tail_queue>(env, rate, 100 * 9000, name));
+        std::make_unique<drop_tail_queue>(env, rate, 100 * 9000));
   });
   const std::uint32_t src = 0;
   const std::uint32_t dst = static_cast<std::uint32_t>(ft.n_hosts() - 1);
@@ -138,10 +137,9 @@ TEST_P(fat_tree_paths, reverse_of_reverse_is_forward_shape) {
   sim_env env;
   fat_tree_config cfg;
   cfg.k = GetParam();
-  fat_tree ft(env, cfg, [&env](link_level, std::size_t, linkspeed_bps rate,
-                               const std::string& name) {
+  fat_tree ft(env, cfg, [&env](link_level, std::size_t, linkspeed_bps rate) {
     return std::unique_ptr<queue_base>(
-        std::make_unique<drop_tail_queue>(env, rate, 100 * 9000, name));
+        std::make_unique<drop_tail_queue>(env, rate, 100 * 9000));
   });
   const auto far = static_cast<std::uint32_t>(ft.n_hosts() - 2);
   auto fwd = testing::fabric_route(ft, 1, far, 0);

@@ -16,12 +16,12 @@ using testing::recording_sink;
 // backlog attributed to the ingress.
 struct pfc_chain {
   explicit pfc_chain(sim_env& env, std::uint64_t xoff, std::uint64_t xon)
-      : nic(env, gbps(10), "nic"),
-        wire_up(env, from_us(1), "wire_up"),
-        egress(env, gbps(10), 1000 * 9000, "egress"),
-        wire_down(env, from_us(1), "wire_down"),
+      : nic(env, gbps(10)),
+        wire_up(env, from_us(1)),
+        egress(env, gbps(10), 1000 * 9000),
+        wire_down(env, from_us(1)),
         sink(env),
-        ingress(env, &nic, from_us(1), xoff, xon, "pfc") {
+        ingress(env, &nic, from_us(1), xoff, xon) {
     egress.set_depart_hook(&pfc_ingress::credit_on_depart);
     rt.push_back(&nic);
     rt.push_back(&wire_up);

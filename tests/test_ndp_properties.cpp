@@ -15,16 +15,15 @@ namespace ndpsim {
 namespace {
 
 queue_factory ndp_factory(sim_env& env, std::uint32_t data_pkts) {
-  return [&env, data_pkts](link_level level, std::size_t, linkspeed_bps rate,
-                           const std::string& name)
+  return [&env, data_pkts](link_level level, std::size_t, linkspeed_bps rate)
              -> std::unique_ptr<queue_base> {
     if (level == link_level::host_up) {
-      return std::make_unique<host_priority_queue>(env, rate, name);
+      return std::make_unique<host_priority_queue>(env, rate);
     }
     ndp_queue_config c;
     c.data_capacity_bytes = data_pkts * 9000ull;
     c.header_capacity_bytes = c.data_capacity_bytes;
-    return std::make_unique<ndp_queue>(env, rate, c, name);
+    return std::make_unique<ndp_queue>(env, rate, c);
   };
 }
 
@@ -118,16 +117,15 @@ class mtu_sweep : public ::testing::TestWithParam<std::uint32_t> {};
 TEST_P(mtu_sweep, completes_with_any_mtu) {
   const std::uint32_t mtu = GetParam();
   sim_env env(3);
-  auto factory = [&env, mtu](link_level level, std::size_t, linkspeed_bps rate,
-                             const std::string& name)
+  auto factory = [&env, mtu](link_level level, std::size_t, linkspeed_bps rate)
       -> std::unique_ptr<queue_base> {
     if (level == link_level::host_up) {
-      return std::make_unique<host_priority_queue>(env, rate, name);
+      return std::make_unique<host_priority_queue>(env, rate);
     }
     ndp_queue_config c;
     c.data_capacity_bytes = 8ull * mtu;
     c.header_capacity_bytes = c.data_capacity_bytes;
-    return std::make_unique<ndp_queue>(env, rate, c, name);
+    return std::make_unique<ndp_queue>(env, rate, c);
   };
   single_switch star(env, 5, gbps(10), from_us(1), factory);
   pull_pacer pacer(env, gbps(10));

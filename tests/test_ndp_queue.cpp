@@ -282,11 +282,11 @@ TEST(ndp_queue, rts_bounces_header_back_to_source) {
   ndp_queue_config tiny;
   tiny.data_capacity_bytes = 9000;      // 1 packet in flight + overflow
   tiny.header_capacity_bytes = kHeaderBytes;  // 1 header only
-  ndp_queue q_a(env, gbps(10), small_q(8), "A.up");
-  ndp_queue q_sw(env, gbps(10), tiny, "SW.down");
+  ndp_queue q_a(env, gbps(10), small_q(8));
+  ndp_queue q_sw(env, gbps(10), tiny);
   const auto tp = testing::arm(q_sw);
-  ndp_queue q_b(env, gbps(10), small_q(8), "B.up");
-  ndp_queue q_sw_rev(env, gbps(10), small_q(8), "SW.down.rev");
+  ndp_queue q_b(env, gbps(10), small_q(8));
+  ndp_queue q_sw_rev(env, gbps(10), small_q(8));
   pipe p1(env, from_us(1)), p2(env, from_us(1)), p3(env, from_us(1)),
       p4(env, from_us(1));
 

@@ -17,13 +17,13 @@ namespace ndpsim {
 namespace {
 
 queue_factory ndp_factory(sim_env& env) {
-  return [&env](link_level level, std::size_t, linkspeed_bps rate,
-                const std::string& name) -> std::unique_ptr<queue_base> {
+  return [&env](link_level level, std::size_t,
+                linkspeed_bps rate) -> std::unique_ptr<queue_base> {
     if (level == link_level::host_up) {
-      return std::make_unique<host_priority_queue>(env, rate, name);
+      return std::make_unique<host_priority_queue>(env, rate);
     }
     ndp_queue_config c;
-    return std::make_unique<ndp_queue>(env, rate, c, name);
+    return std::make_unique<ndp_queue>(env, rate, c);
   };
 }
 

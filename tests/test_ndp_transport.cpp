@@ -16,15 +16,15 @@ namespace {
 queue_factory ndp_factory(sim_env& env, std::uint32_t data_pkts = 8,
                           std::uint64_t hdr_bytes = 0) {
   return [&env, data_pkts, hdr_bytes](
-             link_level level, std::size_t, linkspeed_bps rate,
-             const std::string& name) -> std::unique_ptr<queue_base> {
+             link_level level, std::size_t,
+             linkspeed_bps rate) -> std::unique_ptr<queue_base> {
     if (level == link_level::host_up) {
-      return std::make_unique<host_priority_queue>(env, rate, name);
+      return std::make_unique<host_priority_queue>(env, rate);
     }
     ndp_queue_config c;
     c.data_capacity_bytes = data_pkts * 9000ull;
     c.header_capacity_bytes = hdr_bytes != 0 ? hdr_bytes : c.data_capacity_bytes;
-    return std::make_unique<ndp_queue>(env, rate, c, name);
+    return std::make_unique<ndp_queue>(env, rate, c);
   };
 }
 
@@ -266,16 +266,16 @@ TEST(ndp_transport, rto_backstop_recovers_from_true_loss) {
   // Disable RTS and make the header queue absurdly small so headers die:
   // only the RTO can recover.
   sim_env env(5);
-  auto factory = [&env](link_level level, std::size_t, linkspeed_bps rate,
-                        const std::string& name) -> std::unique_ptr<queue_base> {
+  auto factory = [&env](link_level level, std::size_t,
+                        linkspeed_bps rate) -> std::unique_ptr<queue_base> {
     if (level == link_level::host_up) {
-      return std::make_unique<host_priority_queue>(env, rate, name);
+      return std::make_unique<host_priority_queue>(env, rate);
     }
     ndp_queue_config c;
     c.data_capacity_bytes = 1 * 9000;
     c.header_capacity_bytes = 1 * kHeaderBytes;
     c.enable_rts = false;
-    return std::make_unique<ndp_queue>(env, rate, c, name);
+    return std::make_unique<ndp_queue>(env, rate, c);
   };
   single_switch star(env, 4, gbps(10), from_us(1), factory);
   pull_pacer pacer(env, gbps(10));
@@ -300,16 +300,16 @@ TEST(ndp_transport, rts_bounces_recover_single_packet_flows) {
   // Tiny header queue + RTS on: bounced headers let senders resend without
   // waiting for the RTO (paper §3.2.4).
   sim_env env(6);
-  auto factory = [&env](link_level level, std::size_t, linkspeed_bps rate,
-                        const std::string& name) -> std::unique_ptr<queue_base> {
+  auto factory = [&env](link_level level, std::size_t,
+                        linkspeed_bps rate) -> std::unique_ptr<queue_base> {
     if (level == link_level::host_up) {
-      return std::make_unique<host_priority_queue>(env, rate, name);
+      return std::make_unique<host_priority_queue>(env, rate);
     }
     ndp_queue_config c;
     c.data_capacity_bytes = 2 * 9000;
     c.header_capacity_bytes = 2 * kHeaderBytes;
     c.enable_rts = true;
-    return std::make_unique<ndp_queue>(env, rate, c, name);
+    return std::make_unique<ndp_queue>(env, rate, c);
   };
   single_switch star(env, 31, gbps(10), from_us(1), factory);
   pull_pacer pacer(env, gbps(10));

@@ -17,9 +17,9 @@ namespace ndpsim {
 namespace {
 
 queue_factory droptail_factory(sim_env& env) {
-  return [&env](link_level, std::size_t, linkspeed_bps rate,
-                const std::string& name) -> std::unique_ptr<queue_base> {
-    return std::make_unique<drop_tail_queue>(env, rate, 100 * 9000, name);
+  return [&env](link_level, std::size_t,
+                linkspeed_bps rate) -> std::unique_ptr<queue_base> {
+    return std::make_unique<drop_tail_queue>(env, rate, 100 * 9000);
   };
 }
 
@@ -225,11 +225,9 @@ TEST(path_table, arena_resident_bytes_accounts_for_interned_state) {
 TEST(path_table, transport_unbinds_from_demux_on_destruction) {
   sim_env env;
   back_to_back b2b(env, gbps(10), from_us(1),
-                   [&env](link_level, std::size_t, linkspeed_bps rate,
-                          const std::string& name)
+                   [&env](link_level, std::size_t, linkspeed_bps rate)
                        -> std::unique_ptr<queue_base> {
-                     return std::make_unique<host_priority_queue>(env, rate,
-                                                                  name);
+                     return std::make_unique<host_priority_queue>(env, rate);
                    });
   {
     tcp_config cfg;

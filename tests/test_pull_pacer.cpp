@@ -14,9 +14,9 @@ namespace ndpsim {
 namespace {
 
 queue_factory hostq_factory(sim_env& env) {
-  return [&env](link_level, std::size_t, linkspeed_bps rate,
-                const std::string& name) -> std::unique_ptr<queue_base> {
-    return std::make_unique<host_priority_queue>(env, rate, name);
+  return [&env](link_level, std::size_t,
+                linkspeed_bps rate) -> std::unique_ptr<queue_base> {
+    return std::make_unique<host_priority_queue>(env, rate);
   };
 }
 

@@ -111,7 +111,7 @@ TEST(rate_sampler, overall_rate) {
   // Manually bump the counter between polls via an auxiliary event source.
   struct bumper : event_source {
     std::uint64_t* c;
-    bumper(event_list& el, std::uint64_t* cc) : event_source(el, "b"), c(cc) {}
+    bumper(event_list& el, std::uint64_t* cc) : event_source(el), c(cc) {}
     void do_next_event() override {
       *c += 1250;  // 1250 bytes per 10us = 1Gb/s
       events().schedule_in(*this, from_us(10));

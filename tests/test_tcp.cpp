@@ -11,12 +11,12 @@ namespace ndpsim {
 namespace {
 
 queue_factory droptail_factory(sim_env& env, std::uint32_t pkts = 100) {
-  return [&env, pkts](link_level level, std::size_t, linkspeed_bps rate,
-                      const std::string& name) -> std::unique_ptr<queue_base> {
+  return [&env, pkts](link_level level, std::size_t,
+                      linkspeed_bps rate) -> std::unique_ptr<queue_base> {
     if (level == link_level::host_up) {
-      return std::make_unique<host_priority_queue>(env, rate, name);
+      return std::make_unique<host_priority_queue>(env, rate);
     }
-    return std::make_unique<drop_tail_queue>(env, rate, pkts * 9000ull, name);
+    return std::make_unique<drop_tail_queue>(env, rate, pkts * 9000ull);
   };
 }
 

@@ -354,6 +354,13 @@ TEST(telemetry_json, summary_and_timeseries_document) {
   EXPECT_NE(doc.find("\"depth_pkts\""), std::string::npos);
   EXPECT_NE(doc.find("\"utilization\""), std::string::npos);
   EXPECT_NE(doc.find("\"stale_drops\""), std::string::npos);
+  // Slots are named by the blueprint, not "slotN": every host sends, so
+  // host 0's NIC queue, its pipe and its demux are all in the summary.
+  for (const char* name : {"hostup0", "hostup0.pipe", "demux0"}) {
+    EXPECT_NE(doc.find("\"name\": \"" + std::string(name) + "\""),
+              std::string::npos)
+        << name;
+  }
   std::remove(path);
 }
 

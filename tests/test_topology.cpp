@@ -9,9 +9,9 @@ namespace ndpsim {
 namespace {
 
 queue_factory droptail_factory(sim_env& env) {
-  return [&env](link_level, std::size_t, linkspeed_bps rate,
-                const std::string& name) -> std::unique_ptr<queue_base> {
-    return std::make_unique<drop_tail_queue>(env, rate, 100 * 9000, name);
+  return [&env](link_level, std::size_t,
+                linkspeed_bps rate) -> std::unique_ptr<queue_base> {
+    return std::make_unique<drop_tail_queue>(env, rate, 100 * 9000);
   };
 }
 
@@ -132,10 +132,9 @@ TEST(fat_tree, speed_override_degrades_one_link) {
     if (level == link_level::agg_up && index == 0) return gbps(1);
     return def;
   };
-  fat_tree ft(env, cfg, [&env](link_level, std::size_t, linkspeed_bps rate,
-                               const std::string& name) {
+  fat_tree ft(env, cfg, [&env](link_level, std::size_t, linkspeed_bps rate) {
     return std::unique_ptr<queue_base>(
-        std::make_unique<drop_tail_queue>(env, rate, 100 * 9000, name));
+        std::make_unique<drop_tail_queue>(env, rate, 100 * 9000));
   });
   const auto& agg_up = ft.queues_at(link_level::agg_up);
   EXPECT_EQ(agg_up[0]->rate(), gbps(1));

@@ -71,9 +71,9 @@ TEST(size_distribution, rejects_malformed_cdf) {
 
 TEST(cbr_source, sends_at_configured_rate) {
   sim_env env;
-  auto factory = [&env](link_level, std::size_t, linkspeed_bps rate,
-                        const std::string& name) -> std::unique_ptr<queue_base> {
-    return std::make_unique<drop_tail_queue>(env, rate, 1000 * 9000, name);
+  auto factory = [&env](link_level, std::size_t,
+                        linkspeed_bps rate) -> std::unique_ptr<queue_base> {
+    return std::make_unique<drop_tail_queue>(env, rate, 1000 * 9000);
   };
   single_switch star(env, 2, gbps(10), from_us(1), factory);
   counting_sink sink(env);
@@ -91,7 +91,7 @@ TEST(closed_loop, keeps_population_and_records_fcts) {
   // Instant-completion starter: flows "finish" after 10us via an event.
   struct finisher : event_source {
     std::vector<std::pair<simtime_t, std::function<void()>>> pending;
-    explicit finisher(event_list& el) : event_source(el, "fin") {}
+    explicit finisher(event_list& el) : event_source(el) {}
     void do_next_event() override {
       std::vector<std::function<void()>> due;
       std::erase_if(pending, [&](auto& e) {
