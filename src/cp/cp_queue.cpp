@@ -11,7 +11,6 @@ void cp_queue::enqueue_arrival(packet& p) {
       // FIFO with no priority treatment.
       const std::uint64_t removed = p.size_bytes - kHeaderBytes;
       ndp_queue::trim_packet(p);
-      p.priority = 0;  // CP has no priority queue
       count_trim(removed);
     }
   }

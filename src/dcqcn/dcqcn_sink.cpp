@@ -1,4 +1,4 @@
-#include "dcqcn/dcqcn_sink.h"
+#include "dcqcn/dcqcn_source.h"
 
 namespace ndpsim {
 
@@ -7,43 +7,23 @@ void dcqcn_sink::receive(packet& p) {
   NDPSIM_ASSERT(p.flow_id == flow_id_);
 
   const bool marked = p.has_flag(pkt_flag::ce);
-  if (p.seqno > cum_ && ooo_.find(p.seqno) == ooo_.end()) {
-    payload_ += p.payload_bytes;
-    if (p.seqno == cum_ + 1) {
-      ++cum_;
-      auto it = ooo_.begin();
-      while (it != ooo_.end() && *it == cum_ + 1) {
-        ++cum_;
-        it = ooo_.erase(it);
-      }
-    } else {
-      ooo_.insert(p.seqno);
-    }
-  }
+  if (received_.add(p.seqno)) payload_ += p.payload_bytes;
 
   // NP: CNPs are rate-limited per flow; ACK every packet (cumulative).
-  if (marked && env_.now() - last_cnp_ >= cnp_interval_) {
+  constexpr simtime_t kCnpInterval = from_us(50);
+  if (marked && env_.now() - last_cnp_ >= kCnpInterval) {
     last_cnp_ = env_.now();
     ++cnps_;
-    send_control(packet_type::dcqcn_cnp, cum_);
+    send_control(packet_type::dcqcn_cnp, received_.cumulative());
   }
-  send_control(packet_type::dcqcn_ack, cum_);
+  send_control(packet_type::dcqcn_ack, received_.cumulative());
   env_.pool.release(&p);
 }
 
 void dcqcn_sink::send_control(packet_type type, std::uint64_t ackno) {
-  NDPSIM_ASSERT_MSG(rev_route_ != nullptr, "dcqcn_sink not bound");
-  packet* c = env_.pool.alloc();
-  c->type = type;
-  c->priority = 1;
-  c->flow_id = flow_id_;
-  c->src = local_host_;
-  c->dst = remote_host_;
-  c->size_bytes = kHeaderBytes;
-  c->ackno = ackno;
-  c->rt = rev_route_;
-  c->next_hop = 0;
-  send_to_next_hop(*c);
+  packet& c = make_packet(type, kHeaderBytes, paths_.reverse(0));
+  c.ackno = ackno;
+  send_to_next_hop(c);
 }
 
 }  // namespace ndpsim

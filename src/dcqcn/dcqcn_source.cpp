@@ -2,52 +2,47 @@
 
 #include <algorithm>
 
-#include "dcqcn/dcqcn_sink.h"
-
 namespace ndpsim {
+
+namespace {
+// Reaction-point (sender) parameters; see the header comment.
+constexpr linkspeed_bps kMinRate = mbps(10);
+constexpr linkspeed_bps kRai = mbps(40);    // additive increase step
+constexpr linkspeed_bps kRhai = mbps(400);  // hyper increase step
+constexpr double kG = 1.0 / 256.0;          // alpha's EWMA gain
+constexpr simtime_t kIncreaseTimer = from_us(55);
+constexpr simtime_t kAlphaTimer = from_us(55);
+constexpr std::uint64_t kByteCounter = 10u * 1024 * 1024;
+constexpr unsigned kFastRecoveryStages = 5;
+}  // namespace
 
 dcqcn_source::dcqcn_source(sim_env& env, dcqcn_config cfg,
                            std::uint32_t flow_id)
     : event_source(env.events, dispatch_class::transport_timer),
-      env_(env),
+      endpoint(env, flow_id),
       cfg_(cfg),
-      flow_id_(flow_id),
       rc_(cfg.line_rate),
       rt_(cfg.line_rate) {
   NDPSIM_ASSERT(cfg_.mss_bytes > kHeaderBytes);
-  NDPSIM_ASSERT(cfg_.line_rate > 0 && cfg_.min_rate > 0);
+  NDPSIM_ASSERT(cfg_.line_rate > 0);
 }
 
 dcqcn_source::~dcqcn_source() { disconnect(); }
 
 void dcqcn_source::disconnect() {
   events().cancel(pace_timer_);  // pending start event or pacing tick
-  if (sink_ != nullptr) {
-    paths_.unbind(flow_id_);
-    sink_ = nullptr;
-  }
-  paths_ = path_set{};
+  endpoint::disconnect();
 }
 
 void dcqcn_source::connect(dcqcn_sink& sink, path_set paths,
                            std::uint32_t src_host, std::uint32_t dst_host,
                            std::uint64_t flow_bytes, simtime_t start) {
-  NDPSIM_ASSERT_MSG(!paths.empty(), "need at least one path");
-  sink_ = &sink;
-  paths_ = paths;
-  fwd_route_ = paths_.forward(0);
-  rev_route_ = paths_.reverse(0);
-  paths_.bind_dst(flow_id_, sink_);
-  paths_.bind_src(flow_id_, this);
-  sink_->bind(rev_route_, dst_host, src_host);
-  src_host_ = src_host;
-  dst_host_ = dst_host;
+  connect_to(sink, paths, src_host, dst_host, this, &sink);
   flow_bytes_ = flow_bytes;
   total_packets_ =
       flow_bytes == 0
           ? UINT64_MAX
           : (flow_bytes + payload_per_packet() - 1) / payload_per_packet();
-  start_time_ = start;
   // The start event shares the pacing handle so disconnect() can cancel a
   // flow that never started.
   pace_timer_ = events().schedule_at(*this, start);
@@ -61,20 +56,20 @@ void dcqcn_source::do_next_event() {
     next_send_ = env_.now();
     // This very event doubles as the first send.
   }
-  if (completed_ || next_seq_ > total_packets_) return;
+  if (complete() || next_seq_ > total_packets_) return;
 
   // Timer-driven state updates are piggybacked on pacing events, which fire
-  // at least every mss/min_rate.
-  while (env_.now() - last_increase_timer_ >= cfg_.increase_timer) {
-    last_increase_timer_ += cfg_.increase_timer;
+  // at least every mss/kMinRate.
+  while (env_.now() - last_increase_timer_ >= kIncreaseTimer) {
+    last_increase_timer_ += kIncreaseTimer;
     ++timer_stage_;
     rate_increase_event();
   }
-  while (env_.now() - last_alpha_update_ >= cfg_.alpha_timer) {
-    last_alpha_update_ += cfg_.alpha_timer;
-    // alpha decays whenever a full alpha_timer passes without a CNP.
-    if (last_cnp_ < 0 || env_.now() - last_cnp_ > cfg_.alpha_timer) {
-      alpha_ *= (1.0 - cfg_.g);
+  while (env_.now() - last_alpha_update_ >= kAlphaTimer) {
+    last_alpha_update_ += kAlphaTimer;
+    // alpha decays whenever a full alpha timer passes without a CNP.
+    if (last_cnp_ < 0 || env_.now() - last_cnp_ > kAlphaTimer) {
+      alpha_ *= (1.0 - kG);
     }
   }
 
@@ -83,35 +78,29 @@ void dcqcn_source::do_next_event() {
 }
 
 void dcqcn_source::send_next_packet() {
-  packet* p = env_.pool.alloc();
-  p->type = packet_type::dcqcn_data;
-  p->flow_id = flow_id_;
-  p->src = src_host_;
-  p->dst = dst_host_;
-  p->seqno = next_seq_;
-  p->payload_bytes =
+  const std::uint32_t payload =
       next_seq_ == total_packets_ && flow_bytes_ > 0
           ? static_cast<std::uint32_t>(flow_bytes_ -
                                        (next_seq_ - 1) * payload_per_packet())
           : payload_per_packet();
-  p->size_bytes = p->payload_bytes + kHeaderBytes;
-  p->set_flag(pkt_flag::ect);
-  if (next_seq_ == total_packets_) p->set_flag(pkt_flag::last);
-  p->rt = fwd_route_;
-  p->next_hop = 0;
+  packet& p = make_packet(packet_type::dcqcn_data, payload + kHeaderBytes,
+                          paths_.forward(0));
+  p.seqno = next_seq_;
+  p.payload_bytes = payload;
+  p.set_flag(pkt_flag::ect);
+  if (next_seq_ == total_packets_) p.set_flag(pkt_flag::last);
   ++next_seq_;
-  ++stats_.packets_sent;
-  bytes_since_increase_ += p->size_bytes;
-  if (bytes_since_increase_ >= cfg_.byte_counter) {
+  bytes_since_increase_ += p.size_bytes;
+  if (bytes_since_increase_ >= kByteCounter) {
     bytes_since_increase_ = 0;
     ++byte_stage_;
     rate_increase_event();
   }
-  send_to_next_hop(*p);
+  send_to_next_hop(p);
 }
 
 void dcqcn_source::schedule_pacing() {
-  if (completed_ || next_seq_ > total_packets_ ||
+  if (complete() || next_seq_ > total_packets_ ||
       events().is_pending(pace_timer_)) {
     return;
   }
@@ -125,11 +114,9 @@ void dcqcn_source::receive(packet& p) {
   switch (p.type) {
     case packet_type::dcqcn_ack: {
       acked_cum_ = std::max(acked_cum_, p.ackno);
-      if (!completed_ && flow_bytes_ > 0 && acked_cum_ >= total_packets_) {
-        completed_ = true;
-        completion_time_ = env_.now();
+      if (!complete() && flow_bytes_ > 0 && acked_cum_ >= total_packets_) {
         events().cancel(pace_timer_);  // no more sends will happen
-        if (on_complete_) on_complete_();
+        mark_complete();
       }
       break;
     }
@@ -148,8 +135,8 @@ void dcqcn_source::on_cnp() {
   rt_ = rc_;
   rc_ = static_cast<linkspeed_bps>(static_cast<double>(rc_) *
                                    (1.0 - alpha_ / 2.0));
-  rc_ = std::max(rc_, cfg_.min_rate);
-  alpha_ = (1.0 - cfg_.g) * alpha_ + cfg_.g;
+  rc_ = std::max(rc_, kMinRate);
+  alpha_ = (1.0 - kG) * alpha_ + kG;
   timer_stage_ = 0;
   byte_stage_ = 0;
   bytes_since_increase_ = 0;
@@ -160,15 +147,15 @@ void dcqcn_source::rate_increase_event() {
   // DCQCN stages (Zhu et al., Fig/Alg 1): fast recovery for the first F
   // events of either counter; additive increase once either counter passes
   // F; hyper increase when both have.
-  if (std::max(timer_stage_, byte_stage_) <= cfg_.f_stages) {
+  if (std::max(timer_stage_, byte_stage_) <= kFastRecoveryStages) {
     // Fast recovery: move halfway back to the target rate.
-  } else if (std::min(timer_stage_, byte_stage_) <= cfg_.f_stages) {
-    rt_ = std::min<linkspeed_bps>(rt_ + cfg_.rai, cfg_.line_rate);
+  } else if (std::min(timer_stage_, byte_stage_) <= kFastRecoveryStages) {
+    rt_ = std::min<linkspeed_bps>(rt_ + kRai, cfg_.line_rate);
   } else {
-    rt_ = std::min<linkspeed_bps>(rt_ + cfg_.rhai, cfg_.line_rate);
+    rt_ = std::min<linkspeed_bps>(rt_ + kRhai, cfg_.line_rate);
   }
   rc_ = (rt_ + rc_) / 2;
-  rc_ = std::clamp(rc_, cfg_.min_rate, cfg_.line_rate);
+  rc_ = std::clamp(rc_, kMinRate, cfg_.line_rate);
 }
 
 }  // namespace ndpsim

@@ -5,6 +5,7 @@
 namespace ndpsim {
 
 void dctcp_source::ecn_feedback(std::uint64_t newly_acked, bool echo) {
+  constexpr double kG = 1.0 / 16.0;  // alpha's EWMA gain
   window_acked_ += newly_acked;
   if (echo) window_marked_ += newly_acked;
 
@@ -15,7 +16,7 @@ void dctcp_source::ecn_feedback(std::uint64_t newly_acked, bool echo) {
             ? static_cast<double>(window_marked_) /
                   static_cast<double>(window_acked_)
             : 0.0;
-    alpha_ = (1.0 - dcfg_.g) * alpha_ + dcfg_.g * f;
+    alpha_ = (1.0 - kG) * alpha_ + kG * f;
     window_acked_ = 0;
     window_marked_ = 0;
     window_end_ = bytes_acked() + cwnd_;

@@ -13,16 +13,10 @@
 
 namespace ndpsim {
 
-struct dctcp_config {
-  double g = 1.0 / 16.0;  ///< EWMA gain
-};
-
 class dctcp_source final : public tcp_source {
  public:
-  dctcp_source(sim_env& env, tcp_config cfg, dctcp_config dcfg,
-               std::uint32_t flow_id)
-      : tcp_source(env, [&] { cfg.ecn = true; return cfg; }(), flow_id),
-        dcfg_(dcfg) {}
+  dctcp_source(sim_env& env, tcp_config cfg, std::uint32_t flow_id)
+      : tcp_source(env, [&] { cfg.ecn = true; return cfg; }(), flow_id) {}
 
   [[nodiscard]] double alpha() const { return alpha_; }
 
@@ -30,7 +24,6 @@ class dctcp_source final : public tcp_source {
   void ecn_feedback(std::uint64_t newly_acked, bool echo) override;
 
  private:
-  dctcp_config dcfg_;
   double alpha_ = 1.0;  ///< start conservative, as the paper does
   std::uint64_t window_acked_ = 0;
   std::uint64_t window_marked_ = 0;

@@ -202,8 +202,7 @@ campaign_result campaign_runner::run(
           // into a few-hundred-byte summary, then the heavy payload is
           // freed BEFORE the spill lock — peak memory never holds more
           // than one full outcome per worker.
-          fct_summary s =
-              fct_summary::from_recorder(out.fcts, cfg_.sketch_alpha);
+          fct_summary s = fct_summary::from_recorder(out.fcts);
           s.job = job;
           s.hash = config_hash(out.config);
           s.name = out.config.name;

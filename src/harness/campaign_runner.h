@@ -76,7 +76,6 @@ struct campaign_config {
   /// in THIS invocation (0 = run to completion).  In-flight jobs still
   /// finish and are journaled, so a stopped campaign resumes cleanly.
   std::size_t max_jobs = 0;
-  double sketch_alpha = quantile_sketch::kDefaultAlpha;
 };
 
 struct campaign_result {

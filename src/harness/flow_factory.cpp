@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "dcqcn/dcqcn_sink.h"
+#include "dcqcn/dcqcn_source.h"
 #include "dctcp/dctcp_source.h"
 #include "mptcp/mptcp_source.h"
 #include "tcp/tcp_sink.h"
@@ -10,184 +10,6 @@
 #include "topo/path_table.h"
 
 namespace ndpsim {
-
-namespace {
-
-class ndp_flow final : public flow {
- public:
-  ndp_flow(sim_env& env, pull_pacer& pacer, path_set ps, std::uint32_t fid,
-           std::uint32_t s, std::uint32_t d, const flow_options& o) {
-    ndp_source_config sc;
-    sc.mss_bytes = o.mss_bytes;
-    sc.iw_packets = o.iw_packets;
-    sc.rto = o.ndp_rto;
-    sc.mode = o.mode;
-    sc.penalty.enabled = o.path_penalty;
-    source_ = std::make_unique<ndp_source>(env, sc, fid);
-    ndp_sink_config kc;
-    kc.mss_bytes = o.mss_bytes;
-    kc.pull_class = o.pull_class;
-    sink_ = std::make_unique<ndp_sink>(env, pacer, kc, fid);
-    source_->connect(*sink_, ps, s, d, o.bytes, o.start);
-  }
-
-  void retire() override {
-    source_->disconnect();
-    sink_->disconnect();
-  }
-
-  [[nodiscard]] std::uint64_t payload_received() const override {
-    return sink_->payload_received();
-  }
-  [[nodiscard]] bool complete() const override { return sink_->complete(); }
-  [[nodiscard]] simtime_t completion_time() const override {
-    return sink_->completion_time();
-  }
-  void on_complete(std::function<void()> cb) override {
-    sink_->set_complete_callback(std::move(cb));
-  }
-  void set_latency_callback(std::function<void(simtime_t)> cb) override {
-    source_->set_latency_callback(std::move(cb));
-  }
-  [[nodiscard]] ndp_source* ndp_src() override { return source_.get(); }
-
- private:
-  std::unique_ptr<ndp_source> source_;
-  std::unique_ptr<ndp_sink> sink_;
-};
-
-class tcp_flow final : public flow {
- public:
-  tcp_flow(sim_env& env, bool dctcp, path_set ps, std::uint32_t fid,
-           std::uint32_t s, std::uint32_t d, const flow_options& o) {
-    tcp_config tc;
-    tc.mss_bytes = o.mss_bytes;
-    tc.min_rto = o.min_rto;
-    tc.handshake = o.handshake;
-    tc.max_cwnd_mss = o.max_cwnd_mss;
-    if (dctcp) {
-      source_ = std::make_unique<dctcp_source>(env, tc, dctcp_config{}, fid);
-    } else {
-      source_ = std::make_unique<tcp_source>(env, tc, fid);
-    }
-    sink_ = std::make_unique<tcp_sink>(env, fid);
-    source_->connect(*sink_, ps, s, d, o.bytes, o.start);
-  }
-
-  void retire() override { source_->disconnect(); }
-
-  [[nodiscard]] std::uint64_t payload_received() const override {
-    return sink_->payload_received();
-  }
-  [[nodiscard]] bool complete() const override { return source_->complete(); }
-  [[nodiscard]] simtime_t completion_time() const override {
-    return source_->completion_time();
-  }
-  void on_complete(std::function<void()> cb) override {
-    source_->set_complete_callback(std::move(cb));
-  }
-  [[nodiscard]] tcp_source& source() { return *source_; }
-
- private:
-  std::unique_ptr<tcp_source> source_;
-  std::unique_ptr<tcp_sink> sink_;
-};
-
-class mptcp_flow final : public flow {
- public:
-  mptcp_flow(sim_env& env, path_set ps, unsigned subflows, std::uint32_t fid,
-             std::uint32_t s, std::uint32_t d, const flow_options& o) {
-    tcp_config tc;
-    tc.mss_bytes = o.mss_bytes;
-    tc.min_rto = o.min_rto;
-    tc.handshake = o.handshake;
-    tc.max_cwnd_mss = o.max_cwnd_mss;
-    source_ = std::make_unique<mptcp_source>(env, tc, fid);
-    source_->connect(ps, subflows, s, d, o.bytes, o.start);
-  }
-
-  void retire() override { source_->disconnect(); }
-
-  [[nodiscard]] std::uint64_t payload_received() const override {
-    return source_->total_payload_received();
-  }
-  [[nodiscard]] bool complete() const override { return source_->complete(); }
-  [[nodiscard]] simtime_t completion_time() const override {
-    return source_->completion_time();
-  }
-  void on_complete(std::function<void()> cb) override {
-    source_->set_complete_callback(std::move(cb));
-  }
-
- private:
-  std::unique_ptr<mptcp_source> source_;
-};
-
-class dcqcn_flow final : public flow {
- public:
-  dcqcn_flow(sim_env& env, linkspeed_bps line_rate, path_set ps,
-             std::uint32_t fid, std::uint32_t s, std::uint32_t d,
-             const flow_options& o) {
-    dcqcn_config dc;
-    dc.mss_bytes = o.mss_bytes;
-    dc.line_rate = line_rate;
-    source_ = std::make_unique<dcqcn_source>(env, dc, fid);
-    sink_ = std::make_unique<dcqcn_sink>(env, fid);
-    source_->connect(*sink_, ps, s, d, o.bytes, o.start);
-  }
-
-  void retire() override { source_->disconnect(); }
-
-  [[nodiscard]] std::uint64_t payload_received() const override {
-    return sink_->payload_received();
-  }
-  [[nodiscard]] bool complete() const override { return source_->complete(); }
-  [[nodiscard]] simtime_t completion_time() const override {
-    return source_->completion_time();
-  }
-  void on_complete(std::function<void()> cb) override {
-    source_->set_complete_callback(std::move(cb));
-  }
-
- private:
-  std::unique_ptr<dcqcn_source> source_;
-  std::unique_ptr<dcqcn_sink> sink_;
-};
-
-class phost_flow final : public flow {
- public:
-  phost_flow(sim_env& env, phost_token_pacer& pacer, path_set ps,
-             std::uint32_t fid, std::uint32_t s, std::uint32_t d,
-             const flow_options& o) {
-    phost_config pc;
-    pc.mss_bytes = o.mss_bytes;
-    source_ = std::make_unique<phost_source>(env, pc, fid);
-    sink_ = std::make_unique<phost_sink>(env, pacer, pc, fid);
-    source_->connect(*sink_, ps, s, d, o.bytes, o.start);
-  }
-
-  void retire() override {
-    source_->disconnect();
-    sink_->disconnect();
-  }
-
-  [[nodiscard]] std::uint64_t payload_received() const override {
-    return sink_->payload_received();
-  }
-  [[nodiscard]] bool complete() const override { return sink_->complete(); }
-  [[nodiscard]] simtime_t completion_time() const override {
-    return sink_->completion_time();
-  }
-  void on_complete(std::function<void()> cb) override {
-    sink_->set_complete_callback(std::move(cb));
-  }
-
- private:
-  std::unique_ptr<phost_source> source_;
-  std::unique_ptr<phost_sink> sink_;
-};
-
-}  // namespace
 
 pull_pacer& flow_factory::ndp_pacer(std::uint32_t host) {
   auto it = pull_pacers_.find(host);
@@ -250,31 +72,68 @@ flow& flow_factory::create(protocol proto, std::uint32_t src,
       break;
   }
 
-  std::unique_ptr<flow> f;
+  auto f = std::make_unique<flow>();
+  // Connects a source to its sink; the flow owns both.
+  const auto wire = [&](auto source, auto sink) {
+    source->connect(*sink, ps, src, dst, opts.bytes, opts.start);
+    f->source_ = std::move(source);
+    f->sink_ = std::move(sink);
+  };
+  tcp_config tc;  // TCP, DCTCP and MPTCP (subflows)
+  tc.mss_bytes = opts.mss_bytes;
+  tc.min_rto = opts.min_rto;
+  tc.handshake = opts.handshake;
+  tc.max_cwnd_mss = opts.max_cwnd_mss;
   switch (proto) {
-    case protocol::ndp:
-      f = std::make_unique<ndp_flow>(env_, ndp_pacer(dst), ps, fid, src, dst,
-                                     opts);
+    case protocol::ndp: {
+      ndp_source_config sc;
+      sc.mss_bytes = opts.mss_bytes;
+      sc.iw_packets = opts.iw_packets;
+      sc.rto = opts.ndp_rto;
+      sc.mode = opts.mode;
+      sc.penalty.enabled = opts.path_penalty;
+      auto source = std::make_unique<ndp_source>(env_, sc, fid);
+      const ndp_sink_config kc{opts.mss_bytes, opts.pull_class};
+      auto sink = std::make_unique<ndp_sink>(env_, ndp_pacer(dst), kc, fid);
+      wire(std::move(source), std::move(sink));
       break;
+    }
     case protocol::tcp:
-      f = std::make_unique<tcp_flow>(env_, false, ps, fid, src, dst, opts);
+    case protocol::dctcp: {
+      std::unique_ptr<tcp_source> source;
+      if (proto == protocol::dctcp) {
+        source = std::make_unique<dctcp_source>(env_, tc, fid);
+      } else {
+        source = std::make_unique<tcp_source>(env_, tc, fid);
+      }
+      wire(std::move(source), std::make_unique<tcp_sink>(env_, fid));
       break;
-    case protocol::dctcp:
-      f = std::make_unique<tcp_flow>(env_, true, ps, fid, src, dst, opts);
+    }
+    case protocol::mptcp: {
+      auto source = std::make_unique<mptcp_source>(env_, tc, fid);
+      source->connect(ps, subflows, src, dst, opts.bytes, opts.start);
+      f->source_ = std::move(source);
       break;
-    case protocol::mptcp:
-      f = std::make_unique<mptcp_flow>(env_, ps, subflows, fid, src, dst,
-                                       opts);
+    }
+    case protocol::dcqcn: {
+      auto source = std::make_unique<dcqcn_source>(
+          env_, dcqcn_config{opts.mss_bytes, topo_.host_link_speed(src)}, fid);
+      wire(std::move(source), std::make_unique<dcqcn_sink>(env_, fid));
       break;
-    case protocol::dcqcn:
-      f = std::make_unique<dcqcn_flow>(env_, topo_.host_link_speed(src), ps,
-                                       fid, src, dst, opts);
+    }
+    case protocol::phost: {
+      const phost_config pc{opts.mss_bytes};
+      auto source = std::make_unique<phost_source>(env_, pc, fid);
+      auto sink = std::make_unique<phost_sink>(env_, phost_pacer(dst), pc, fid);
+      wire(std::move(source), std::move(sink));
       break;
-    case protocol::phost:
-      f = std::make_unique<phost_flow>(env_, phost_pacer(dst), ps, fid, src,
-                                       dst, opts);
-      break;
+    }
   }
+  // NDP and pHost sinks see the last packet arrive; the other transports'
+  // sources see the last byte acked.
+  f->completes_ = proto == protocol::ndp || proto == protocol::phost
+                      ? f->sink_.get()
+                      : f->source_.get();
   f->id = fid;
   f->src = src;
   f->dst = dst;

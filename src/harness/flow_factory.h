@@ -1,6 +1,12 @@
-// Uniform flow handle across all transports, plus the factory that wires
-// endpoints to topology routes (including per-host NDP pull pacers and pHost
-// token pacers).
+// One flow handle for all six transports, plus the factory that builds it.
+//
+// A `flow` owns its transport's two endpoints (see net/endpoint.h) and
+// reads completion from the side that knows the transfer is done: the sink
+// for NDP and pHost (the last packet arrived), the source for TCP, DCTCP,
+// MPTCP and DCQCN (the last byte was acked).  `flow_factory` picks the
+// flow's paths, builds and connects the endpoints (with the per-host NDP
+// pull pacers and pHost token pacers it creates on demand) and owns every
+// flow until `destroy`.
 #pragma once
 
 #include <functional>
@@ -51,21 +57,37 @@ struct flow_options {
 /// Handle for one transfer, whatever the transport underneath.
 class flow {
  public:
-  virtual ~flow() = default;
-  [[nodiscard]] virtual std::uint64_t payload_received() const = 0;
-  [[nodiscard]] virtual bool complete() const = 0;
-  [[nodiscard]] virtual simtime_t completion_time() const = 0;
-  virtual void on_complete(std::function<void()> cb) = 0;
-  /// Uniform teardown hook: disconnect every transport endpoint underneath
-  /// (cancel pending timers, leave shared pacer rings, unbind the
-  /// `flow_demux` entries at both hosts).  Idempotent; called by
-  /// `flow_factory::destroy` before the flow object is freed, so teardown is
-  /// explicit rather than destructor-order-dependent.
-  virtual void retire() = 0;
+  /// Payload delivered to the receiving side so far.
+  [[nodiscard]] std::uint64_t payload_received() const {
+    // An MPTCP connection owns its subflows' sinks and sums them.
+    return (sink_ != nullptr ? *sink_ : *source_).payload_received();
+  }
+  [[nodiscard]] bool complete() const { return completes_->complete(); }
+  [[nodiscard]] simtime_t completion_time() const {
+    return completes_->completion_time();
+  }
+  void on_complete(std::function<void()> cb) {
+    completes_->set_complete_callback(std::move(cb));
+  }
+  /// Uniform teardown hook: disconnect both endpoints (cancel pending
+  /// timers, leave shared pacer rings, unbind the `flow_demux` entries at
+  /// both hosts).  Idempotent; called by `flow_factory::destroy` before the
+  /// flow object is freed, so teardown is explicit rather than
+  /// destructor-order-dependent.
+  void retire() {
+    source_->disconnect();
+    if (sink_ != nullptr) sink_->disconnect();
+  }
   /// Per-packet delivery latency samples (NDP only).
-  virtual void set_latency_callback(std::function<void(simtime_t)> /*cb*/) {}
+  void set_latency_callback(std::function<void(simtime_t)> cb) {
+    if (ndp_source* s = ndp_src(); s != nullptr) {
+      s->set_latency_callback(std::move(cb));
+    }
+  }
   /// Protocol-specific escape for stats collection (null when not NDP).
-  [[nodiscard]] virtual ndp_source* ndp_src() { return nullptr; }
+  [[nodiscard]] ndp_source* ndp_src() {
+    return dynamic_cast<ndp_source*>(source_.get());
+  }
 
   /// Names this transfer alone: the factory never hands an id out twice.
   std::uint32_t id = 0;
@@ -83,8 +105,12 @@ class flow {
   friend class flow_factory;
   std::uint32_t slot_ = UINT32_MAX;  ///< index in the factory's flow table
   /// The arrays of a capped path subset (`path_table::sample` storage) the
-  /// transports borrow.  A base-class member, so it outlives them.
+  /// endpoints borrow.  Declared before them, so it outlives them.
   std::vector<const route*> path_storage_;
+  std::unique_ptr<endpoint> source_;
+  /// Null for MPTCP: its connection (the source) owns the subflows' sinks.
+  std::unique_ptr<endpoint> sink_;
+  endpoint* completes_ = nullptr;  ///< the side that records completion
 };
 
 class flow_factory {

@@ -32,7 +32,7 @@ void mptcp_subflow::on_bytes_acked(std::uint64_t newly_acked) {
 }
 
 mptcp_source::mptcp_source(sim_env& env, tcp_config cfg, std::uint32_t flow_id)
-    : env_(env), cfg_(cfg), flow_id_(flow_id) {}
+    : endpoint(env, flow_id), cfg_(cfg) {}
 
 void mptcp_source::connect(path_set paths, unsigned n_subflows,
                            std::uint32_t src_host, std::uint32_t dst_host,
@@ -73,14 +73,12 @@ std::uint32_t mptcp_source::claim(std::uint32_t max) {
 
 void mptcp_source::note_acked(std::uint64_t bytes) {
   total_acked_ += bytes;
-  if (!completed_ && flow_bytes_ > 0 && total_acked_ >= flow_bytes_) {
-    completed_ = true;
-    completion_time_ = env_.now();
-    if (on_complete_) on_complete_();
+  if (!complete() && flow_bytes_ > 0 && total_acked_ >= flow_bytes_) {
+    mark_complete();
   }
 }
 
-std::uint64_t mptcp_source::total_payload_received() const {
+std::uint64_t mptcp_source::payload_received() const {
   std::uint64_t total = 0;
   for (const auto& s : sinks_) total += s->payload_received();
   return total;

@@ -38,7 +38,10 @@ class mptcp_subflow final : public tcp_source {
   mptcp_source& parent_;
 };
 
-class mptcp_source {
+/// The connection: owns the subflows and their sinks (subflow i has flow id
+/// `flow_id() + i`) and completes (the endpoint's record) when the subflows'
+/// acked bytes cover a finite flow.  It sends and receives nothing itself.
+class mptcp_source final : public endpoint {
  public:
   mptcp_source(sim_env& env, tcp_config cfg, std::uint32_t flow_id);
 
@@ -50,22 +53,17 @@ class mptcp_source {
                std::uint32_t dst_host, std::uint64_t flow_bytes,
                simtime_t start);
 
-  void set_complete_callback(std::function<void()> cb) {
-    on_complete_ = std::move(cb);
-  }
-
   /// Teardown hook (flow recycling): disconnect every subflow (cancel its
   /// timers, unbind its demux entries).  Idempotent.
-  void disconnect() {
+  void disconnect() override {
     for (auto& sf : subflows_) sf->disconnect();
   }
 
-  [[nodiscard]] bool complete() const { return completed_; }
-  [[nodiscard]] simtime_t completion_time() const { return completion_time_; }
   [[nodiscard]] std::uint64_t bytes_acked() const { return total_acked_; }
   [[nodiscard]] std::size_t n_subflows() const { return subflows_.size(); }
   [[nodiscard]] tcp_source& subflow(std::size_t i) { return *subflows_[i]; }
-  [[nodiscard]] std::uint64_t total_payload_received() const;
+  /// Payload received over every subflow.
+  [[nodiscard]] std::uint64_t payload_received() const override;
 
   /// {sum of subflow windows, max subflow window}, in bytes.
   [[nodiscard]] std::pair<double, double> window_totals() const;
@@ -75,17 +73,12 @@ class mptcp_source {
   [[nodiscard]] std::uint32_t claim(std::uint32_t max);
   void note_acked(std::uint64_t bytes);
 
-  sim_env& env_;
   tcp_config cfg_;
-  std::uint32_t flow_id_;
   std::vector<std::unique_ptr<mptcp_subflow>> subflows_;
   std::vector<std::unique_ptr<tcp_sink>> sinks_;
   std::uint64_t flow_bytes_ = 0;
   std::uint64_t remaining_ = 0;
   std::uint64_t total_acked_ = 0;
-  bool completed_ = false;
-  simtime_t completion_time_ = -1;
-  std::function<void()> on_complete_;
 };
 
 }  // namespace ndpsim

@@ -48,7 +48,6 @@ class ndp_queue final : public queue_base {
     p.set_flag(pkt_flag::trimmed);
     p.size_bytes = kHeaderBytes;
     p.payload_bytes = 0;
-    p.priority = 1;
   }
 
  protected:

@@ -4,22 +4,14 @@ namespace ndpsim {
 
 ndp_sink::ndp_sink(sim_env& env, pull_pacer& pacer, ndp_sink_config cfg,
                    std::uint32_t flow_id)
-    : env_(env), pacer_(pacer), cfg_(cfg), flow_id_(flow_id) {
+    : endpoint(env, flow_id), pacer_(pacer), cfg_(cfg) {
   NDPSIM_ASSERT(cfg_.mss_bytes > kHeaderBytes);
   NDPSIM_ASSERT(cfg_.pull_class < kPullClasses);
 }
 
-void ndp_sink::bind(path_set paths, std::uint32_t local_host,
-                    std::uint32_t remote_host) {
-  NDPSIM_ASSERT_MSG(!paths.empty(), "sink needs at least one ctrl route");
-  paths_ = paths;
-  local_host_ = local_host;
-  remote_host_ = remote_host;
-}
-
 void ndp_sink::disconnect() {
   pacer_.remove(*this);
-  paths_ = path_set{};
+  endpoint::disconnect();
 }
 
 void ndp_sink::receive(packet& p) {
@@ -35,16 +27,8 @@ void ndp_sink::receive(packet& p) {
     return;
   }
 
-  const bool is_new =
-      p.seqno > cum_received_ && ooo_.find(p.seqno) == ooo_.end();
-  if (is_new) {
+  if (received_.add(p.seqno)) {
     stats_.payload_bytes += p.payload_bytes;
-    if (p.seqno == cum_received_ + 1) {
-      ++cum_received_;
-      advance_cumulative();
-    } else {
-      ooo_.insert(p.seqno);
-    }
     if (p.has_flag(pkt_flag::last)) total_packets_ = p.seqno;
   } else {
     ++stats_.duplicate_packets;
@@ -53,24 +37,15 @@ void ndp_sink::receive(packet& p) {
   // Always ACK, even duplicates: the sender needs to free its copy.
   send_control(packet_type::ndp_ack, p.seqno, p.path_id);
 
-  if (complete()) {
-    if (completion_time_ < 0) {
-      completion_time_ = env_.now();
+  if (total_packets_ != 0 && received_.cumulative() == total_packets_) {
+    if (!complete()) {
       pacer_.purge(*this);
-      if (on_complete_) on_complete_();
+      mark_complete();
     }
   } else {
     note_arrival_for_pull();
   }
   env_.pool.release(&p);
-}
-
-void ndp_sink::advance_cumulative() {
-  auto it = ooo_.begin();
-  while (it != ooo_.end() && *it == cum_received_ + 1) {
-    ++cum_received_;
-    it = ooo_.erase(it);
-  }
 }
 
 void ndp_sink::note_arrival_for_pull() {
@@ -81,34 +56,20 @@ void ndp_sink::note_arrival_for_pull() {
 
 void ndp_sink::send_control(packet_type type, std::uint64_t seqno,
                             std::uint16_t echo_path) {
-  packet* p = env_.pool.alloc();
-  p->type = type;
-  p->priority = 1;
-  p->flow_id = flow_id_;
-  p->src = local_host_;
-  p->dst = remote_host_;
-  p->size_bytes = kHeaderBytes;
-  p->seqno = seqno;
-  p->path_id = echo_path;
   // Control packets are sprayed across paths too (reverse direction).
-  p->rt = paths_.reverse(env_.rand_below(paths_.size()));
-  p->next_hop = 0;
-  send_to_next_hop(*p);
+  packet& p = make_packet(type, kHeaderBytes,
+                          paths_.reverse(env_.rand_below(paths_.size())));
+  p.seqno = seqno;
+  p.path_id = echo_path;
+  send_to_next_hop(p);
 }
 
 void ndp_sink::issue_pull() {
   ++pull_counter_;
-  packet* p = env_.pool.alloc();
-  p->type = packet_type::ndp_pull;
-  p->priority = 1;
-  p->flow_id = flow_id_;
-  p->src = local_host_;
-  p->dst = remote_host_;
-  p->size_bytes = kHeaderBytes;
-  p->pullno = pull_counter_;
-  p->rt = paths_.reverse(env_.rand_below(paths_.size()));
-  p->next_hop = 0;
-  send_to_next_hop(*p);
+  packet& p = make_packet(packet_type::ndp_pull, kHeaderBytes,
+                          paths_.reverse(env_.rand_below(paths_.size())));
+  p.pullno = pull_counter_;
+  send_to_next_hop(p);
 }
 
 }  // namespace ndpsim

@@ -9,9 +9,8 @@ namespace ndpsim {
 ndp_source::ndp_source(sim_env& env, ndp_source_config cfg,
                        std::uint32_t flow_id)
     : event_source(env.events, dispatch_class::transport_timer),
-      env_(env),
+      endpoint(env, flow_id),
       cfg_(cfg),
-      flow_id_(flow_id),
       payload_per_packet_(cfg.mss_bytes - kHeaderBytes) {
   NDPSIM_ASSERT(cfg_.mss_bytes > kHeaderBytes);
   NDPSIM_ASSERT(cfg_.iw_packets >= 1);
@@ -22,37 +21,23 @@ ndp_source::~ndp_source() { disconnect(); }
 void ndp_source::disconnect() {
   events().cancel(rto_timer_);  // start event or RTO backstop, whichever is armed
   rto_clear();
-  if (sink_ != nullptr) {
-    net_paths_.unbind(flow_id_);
-    sink_ = nullptr;
-  }
-  net_paths_ = path_set{};
+  endpoint::disconnect();
 }
 
 void ndp_source::connect(ndp_sink& sink, path_set paths,
                          std::uint32_t src_host, std::uint32_t dst_host,
                          std::uint64_t flow_bytes, simtime_t start,
                          packet_sink* rx_endpoint) {
-  NDPSIM_ASSERT_MSG(!paths.empty(), "need at least one path");
-  sink_ = &sink;
-  net_paths_ = paths;
-  src_host_ = src_host;
-  dst_host_ = dst_host;
+  connect_to(sink, paths, src_host, dst_host, this,
+             rx_endpoint != nullptr ? rx_endpoint : &sink);
   flow_bytes_ = flow_bytes;
   total_packets_ =
       flow_bytes == 0
           ? kUnbounded
           : (flow_bytes + payload_per_packet_ - 1) / payload_per_packet_;
 
-  packet_sink* rx = rx_endpoint != nullptr ? rx_endpoint
-                                           : static_cast<packet_sink*>(sink_);
-  net_paths_.bind_dst(flow_id_, rx);
-  net_paths_.bind_src(flow_id_, this);
-  sink_->bind(net_paths_, dst_host, src_host);
-
-  paths_ = std::make_unique<path_selector>(env_, net_paths_.size(), cfg_.mode,
-                                           cfg_.penalty);
-  start_time_ = start;
+  selector_ = std::make_unique<path_selector>(env_, paths_.size(), cfg_.mode,
+                                              cfg_.penalty);
   // The start event shares the RTO backstop's handle: it is the only pending
   // event until the first send arms a real deadline, and keeping it in the
   // handle lets disconnect() cancel a not-yet-started flow cleanly.
@@ -95,39 +80,34 @@ void ndp_source::send_data(std::uint64_t seqno, bool is_rtx) {
   auto it = outstanding_.find(seqno);
   if (is_rtx && it != outstanding_.end()) {
     // The paper always retransmits on a different path.
-    path = paths_->next_avoiding(it->second.last_path);
+    path = selector_->next_avoiding(it->second.last_path);
   } else {
-    path = paths_->next();
+    path = selector_->next();
   }
 
-  packet* p = env_.pool.alloc();
-  p->type = packet_type::ndp_data;
-  p->flow_id = flow_id_;
-  p->src = src_host_;
-  p->dst = dst_host_;
-  p->seqno = seqno;
-  p->payload_bytes = payload_for(seqno);
-  p->size_bytes = p->payload_bytes + kHeaderBytes;
-  p->path_id = path;
-  if (first_window_phase_) p->set_flag(pkt_flag::syn);
-  if (seqno == total_packets_) p->set_flag(pkt_flag::last);
-  if (is_rtx) p->set_flag(pkt_flag::rtx);
-  p->rt = net_paths_.forward(path);
-  p->reverse_rt = net_paths_.reverse(path);
-  p->next_hop = 0;
+  const std::uint32_t payload = payload_for(seqno);
+  packet& p = make_packet(packet_type::ndp_data, payload + kHeaderBytes,
+                          paths_.forward(path));
+  p.seqno = seqno;
+  p.payload_bytes = payload;
+  p.path_id = path;
+  if (first_window_phase_) p.set_flag(pkt_flag::syn);
+  if (seqno == total_packets_) p.set_flag(pkt_flag::last);
+  if (is_rtx) p.set_flag(pkt_flag::rtx);
+  p.reverse_rt = paths_.reverse(path);
 
   sent_info& info = outstanding_[seqno];
   if (info.first_sent == 0) info.first_sent = env_.now();
   info.last_tx = env_.now();
   info.last_path = path;
   info.state = tx_state::inflight;
-  p->first_sent = info.first_sent;
+  p.first_sent = info.first_sent;
 
   arm_rto(seqno, info, env_.now() + cfg_.rto);
 
   ++stats_.packets_sent;
   if (is_rtx) ++stats_.rtx_sent;
-  send_to_next_hop(*p);
+  send_to_next_hop(p);
 }
 
 void ndp_source::receive(packet& p) {
@@ -159,7 +139,7 @@ void ndp_source::receive(packet& p) {
 void ndp_source::handle_ack(const packet& p) {
   ++stats_.acks_received;
   first_window_phase_ = false;
-  paths_->record_ack(p.path_id);
+  selector_->record_ack(p.path_id);
 
   const std::uint64_t seq = p.seqno;
   auto it = outstanding_.find(seq);
@@ -170,25 +150,14 @@ void ndp_source::handle_ack(const packet& p) {
   }
   rtx_pending_.erase(seq);
 
-  if (seq > cum_acked_ && ooo_acked_.find(seq) == ooo_acked_.end()) {
-    if (seq == cum_acked_ + 1) {
-      ++cum_acked_;
-      auto o = ooo_acked_.begin();
-      while (o != ooo_acked_.end() && *o == cum_acked_ + 1) {
-        ++cum_acked_;
-        o = ooo_acked_.erase(o);
-      }
-    } else {
-      ooo_acked_.insert(seq);
-    }
-  }
+  acked_.add(seq);
   check_complete();
 }
 
 void ndp_source::handle_nack(const packet& p) {
   ++stats_.nacks_received;
   first_window_phase_ = false;
-  paths_->record_nack(p.path_id);
+  selector_->record_nack(p.path_id);
   queue_rtx(p.seqno, tx_state::nacked);
 }
 
@@ -236,7 +205,7 @@ void ndp_source::send_next_from_pull() {
 void ndp_source::handle_bounce(packet& p) {
   ++stats_.bounces_received;
   const std::uint64_t seq = p.seqno;
-  paths_->record_loss(p.path_id);
+  selector_->record_loss(p.path_id);
   auto it = outstanding_.find(seq);
   if (it == outstanding_.end()) return;  // raced with an ACK of an rtx copy
 
@@ -248,10 +217,11 @@ void ndp_source::handle_bounce(packet& p) {
   const std::int64_t pulls_owed =
       static_cast<std::int64_t>(stats_.acks_received + stats_.nacks_received) -
       static_cast<std::int64_t>(stats_.pulls_received);
+  constexpr double kAckDominance = 4.0;
   const bool acks_dominate =
       stats_.acks_received >
-      cfg_.ack_dominance * static_cast<double>(std::max<std::uint64_t>(
-                               stats_.nacks_received, 1));
+      kAckDominance * static_cast<double>(std::max<std::uint64_t>(
+                          stats_.nacks_received, 1));
   if (pulls_owed <= 0 || acks_dominate) {
     ++stats_.rtx_after_bounce;
     send_data(seq, /*is_rtx=*/true);
@@ -384,7 +354,7 @@ void ndp_source::process_rto_heap() {
     }
     // Genuine timeout: the packet (or its NACK/PULL) vanished — corruption or
     // failure. Retransmit directly on a different path (§3.2.3).
-    paths_->record_loss(info.last_path);
+    selector_->record_loss(info.last_path);
     rtx_pending_.erase(e.seqno);
     ++stats_.rtx_after_timeout;
     send_data(e.seqno, /*is_rtx=*/true);
@@ -397,13 +367,11 @@ void ndp_source::process_rto_heap() {
 }
 
 void ndp_source::check_complete() {
-  if (complete() && completion_time_ < 0) {
-    completion_time_ = env_.now();
-    // Every packet is ACKed: the RTO backstop has nothing left to guard.
-    events().cancel(rto_timer_);
-    rto_clear();
-    if (on_complete_) on_complete_();
-  }
+  if (complete() || acked_.cumulative() != total_packets_) return;
+  // Every packet is ACKed: the RTO backstop has nothing left to guard.
+  events().cancel(rto_timer_);
+  rto_clear();
+  mark_complete();
 }
 
 }  // namespace ndpsim

@@ -18,10 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/packet.h"
-#include "net/path_set.h"
-#include "net/route.h"
-#include "net/sim_env.h"
+#include "net/endpoint.h"
 #include "ndp/path_selector.h"
 #include "sim/eventlist.h"
 
@@ -35,8 +32,6 @@ struct ndp_source_config {
   simtime_t rto = from_ms(1.0);    ///< retransmission timeout backstop
   path_mode mode = path_mode::permutation;
   path_penalty_config penalty = {};
-  /// On a bounced header, resend immediately if acks > dominance * nacks.
-  double ack_dominance = 4.0;
 };
 
 struct ndp_source_stats {
@@ -51,7 +46,9 @@ struct ndp_source_stats {
   std::uint64_t bounces_received = 0;
 };
 
-class ndp_source final : public packet_sink, public event_source {
+class ndp_source final : public packet_sink,
+                         public event_source,
+                         public endpoint {
  public:
   ndp_source(sim_env& env, ndp_source_config cfg, std::uint32_t flow_id);
   ~ndp_source() override;
@@ -69,31 +66,21 @@ class ndp_source final : public packet_sink, public event_source {
                simtime_t start, packet_sink* rx_endpoint = nullptr);
 
   /// Teardown hook (flow recycling): cancel the pending start/RTO timer,
-  /// unbind both demux endpoints and drop the borrowed path view.
-  /// Idempotent; also invoked by the destructor, so a connected source can
-  /// be destroyed at any point without leaving a dangling event-list entry
-  /// or demux binding behind.
-  void disconnect();
+  /// then unbind and drop the paths as every endpoint does.  Also invoked
+  /// by the destructor, so a connected source can be destroyed at any point
+  /// without leaving a dangling event-list entry or demux binding behind.
+  void disconnect() override;
 
   void receive(packet& p) override;  // ACK/NACK/PULL/bounced headers
   void do_next_event() override;     // start push + RTO backstop
 
-  void set_complete_callback(std::function<void()> cb) {
-    on_complete_ = std::move(cb);
-  }
   /// Per-packet delivery latency samples (first send -> ACK seen), Fig 4.
   void set_latency_callback(std::function<void(simtime_t)> cb) {
     on_latency_ = std::move(cb);
   }
 
   [[nodiscard]] const ndp_source_stats& stats() const { return stats_; }
-  [[nodiscard]] bool complete() const {
-    return total_packets_ != kUnbounded && cum_acked_ == total_packets_;
-  }
-  [[nodiscard]] simtime_t completion_time() const { return completion_time_; }
-  [[nodiscard]] path_selector& paths() { return *paths_; }
   [[nodiscard]] std::uint64_t total_packets() const { return total_packets_; }
-  [[nodiscard]] std::uint32_t flow_id() const { return flow_id_; }
   [[nodiscard]] const ndp_source_config& config() const { return cfg_; }
 
   static constexpr std::uint64_t kUnbounded = UINT64_MAX;
@@ -146,36 +133,26 @@ class ndp_source final : public packet_sink, public event_source {
   [[nodiscard]] std::uint32_t payload_for(std::uint64_t seqno) const;
   void check_complete();
 
-  sim_env& env_;
   ndp_source_config cfg_;
-  std::uint32_t flow_id_;
   std::uint32_t payload_per_packet_;
 
-  ndp_sink* sink_ = nullptr;
-  path_set net_paths_;  ///< borrowed; the topology/path owner outlives us
-  std::unique_ptr<path_selector> paths_;
-  std::uint32_t src_host_ = 0;
-  std::uint32_t dst_host_ = 0;
+  std::unique_ptr<path_selector> selector_;
 
   std::uint64_t flow_bytes_ = 0;
   std::uint64_t total_packets_ = kUnbounded;
   std::uint64_t next_new_seq_ = 1;
   std::uint64_t highest_pull_ = 0;
-  std::uint64_t cum_acked_ = 0;
-  std::set<std::uint64_t> ooo_acked_;
+  seq_tracker acked_;
   std::set<std::uint64_t> rtx_pending_;
   std::unordered_map<std::uint64_t, sent_info> outstanding_;
   std::vector<rto_item> rto_heap_;  ///< indexed min-heap (see rto_item)
   timer_handle rto_timer_;  ///< one backstop timer, armed for the earliest deadline
 
-  simtime_t start_time_ = 0;
   bool started_ = false;
   bool first_window_phase_ = true;
   simtime_t last_pull_seen_ = -1;
-  simtime_t completion_time_ = -1;
 
   ndp_source_stats stats_;
-  std::function<void()> on_complete_;
   std::function<void(simtime_t)> on_latency_;
 };
 

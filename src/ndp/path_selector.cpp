@@ -68,6 +68,16 @@ void path_selector::reshuffle() {
 }
 
 void path_selector::evaluate_penalties() {
+  // Exclude a path when its NACK fraction exceeds the rest's
+  // * kNackFactor + kNackOffset, or its losses exceed the rest's mean
+  // * kLossFactor + kLossOffset.
+  constexpr double kNackFactor = 2.0;
+  constexpr double kNackOffset = 0.10;
+  constexpr double kLossFactor = 3.0;
+  constexpr double kLossOffset = 2.0;
+  // Per-reshuffle decay of the counters, so judgements track recent
+  // behaviour ("temporarily removes outliers").
+  constexpr double kDecay = 0.98;
   double total_acks = 0;
   double total_nacks = 0;
   double total_losses = 0;
@@ -86,13 +96,13 @@ void path_selector::evaluate_penalties() {
     const double samples = s.acks + s.nacks;
     if (samples >= penalty_.min_samples) {
       const double frac = s.nacks / samples;
-      if (frac > other_frac * penalty_.nack_factor + penalty_.nack_offset) {
+      if (frac > other_frac * kNackFactor + kNackOffset) {
         exclude = true;
       }
     }
     const double other_losses =
         (total_losses - s.losses) / std::max(1.0, double(stats_.size() - 1));
-    if (s.losses > other_losses * penalty_.loss_factor + penalty_.loss_offset) {
+    if (s.losses > other_losses * kLossFactor + kLossOffset) {
       exclude = true;
     }
     if (exclude) {
@@ -106,9 +116,9 @@ void path_selector::evaluate_penalties() {
       s.nacks = 0;
       s.losses = 0;
     }
-    s.acks *= penalty_.decay;
-    s.nacks *= penalty_.decay;
-    s.losses *= penalty_.decay;
+    s.acks *= kDecay;
+    s.nacks *= kDecay;
+    s.losses *= kDecay;
   }
 }
 

@@ -27,22 +27,15 @@ enum class path_mode : std::uint8_t {
   single,             ///< always path 0 (single-path transports)
 };
 
+/// When to retire a path (the thresholds themselves are constants in
+/// `path_selector::evaluate_penalties`).
 struct path_penalty_config {
   bool enabled = true;
-  /// Minimum ACK+NACK samples on a path before it can be judged.
+  /// Minimum ACK+NACK samples on a path before it can be judged.  The
+  /// counters decay by 0.98 per reshuffle, so a path's steady-state sample
+  /// count is ~50; this must stay well below it or penalties never trigger.
   std::uint32_t min_samples = 16;
-  /// Exclude when nack_frac > global_frac * factor + offset.
-  double nack_factor = 2.0;
-  double nack_offset = 0.10;
-  /// Exclude when losses exceed mean losses * factor + offset.
-  double loss_factor = 3.0;
-  double loss_offset = 2.0;
   simtime_t penalty_time = from_ms(2.0);
-  /// Exponential decay applied to per-path counters at each reshuffle, so
-  /// judgements track recent behaviour ("temporarily removes outliers").
-  /// Steady-state sample count per path is ~1/(1-decay); it must comfortably
-  /// exceed min_samples or penalties can never trigger.
-  double decay = 0.98;
 };
 
 class path_selector {

@@ -2,9 +2,9 @@
 //
 // A single flat struct represents every packet type in the simulator (NDP
 // data/ACK/NACK/PULL, TCP segments, DCQCN CNPs, pHost tokens, ...).  Queues
-// and pipes only look at `size_bytes`, priority and the trimmed/control
-// distinction, so they can carry any transport.  Packets are pooled to avoid
-// allocation churn in large simulations.
+// and pipes only look at `size_bytes` and the trimmed/control distinction
+// (`is_header_class`), so they can carry any transport.  Packets are pooled
+// to avoid allocation churn in large simulations.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +37,6 @@ enum class packet_type : std::uint8_t {
   phost_rts,
   phost_data,
   phost_token,
-  phost_ack,
   cbr_data,
 };
 
@@ -85,7 +84,7 @@ struct alignas(64) packet {
   std::uint32_t flow_id = 0;
   std::uint32_t payload_bytes = 0;  ///< application bytes carried (0 if trimmed)
   packet_type type = packet_type::ndp_data;
-  std::uint8_t priority = 0;  ///< 0 = data/low, 1 = control/high queue
+  // (1 byte pad)
   std::uint16_t flags = 0;
   std::uint16_t path_id = 0;  ///< sender's path index (scoreboard bookkeeping)
   bool in_pool = false;  ///< owned by packet_pool's free list (double-free check)
@@ -128,8 +127,7 @@ static_assert(offsetof(packet, flow_id) + sizeof(std::uint32_t) <= 64,
               "per-hop field outside hot line");
 static_assert(offsetof(packet, payload_bytes) + sizeof(std::uint32_t) <= 64,
               "per-hop field outside hot line");
-static_assert(offsetof(packet, type) < 64 && offsetof(packet, flags) < 64 &&
-                  offsetof(packet, priority) < 64,
+static_assert(offsetof(packet, type) < 64 && offsetof(packet, flags) < 64,
               "classification bits outside hot line");
 static_assert(offsetof(packet, path_id) < 64 && offsetof(packet, in_pool) < 64,
               "per-hop field outside hot line");

@@ -8,24 +8,19 @@
 //  * the receiver paces tokens at its link rate, round-robin across active
 //    flows; a token carries a cumulative credit plus the lowest sequence the
 //    receiver is still missing (its loss-recovery hint);
-//  * tokens stop being issued for a flow once enough credit is outstanding;
-//    credit is replenished by arrivals or, after `token_timeout`, assumed
-//    lost and re-issued.  Data lost in the fabric (there is no trimming, and
-//    buffers are 8 packets) therefore costs at least a token timeout —
-//    exactly the failure mode the paper contrasts NDP against.
+//  * tokens stop being issued for a flow once enough credit is outstanding
+//    (12 tokens); credit is replenished by arrivals or, after a 300us token
+//    timeout, assumed lost and re-issued.  Data lost in the fabric (there is
+//    no trimming, and buffers are 8 packets) therefore costs at least a
+//    token timeout — exactly the failure mode the paper contrasts NDP
+//    against.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
-#include <set>
-#include <vector>
 
-#include "net/packet.h"
-#include "net/path_set.h"
-#include "net/route.h"
-#include "net/sim_env.h"
+#include "net/endpoint.h"
 #include "ndp/path_selector.h"
 #include "sim/eventlist.h"
 
@@ -35,12 +30,11 @@ class phost_sink;
 
 struct phost_config {
   std::uint32_t mss_bytes = 9000;
-  std::uint32_t free_tokens = 8;  ///< first-RTT line-rate burst (packets)
-  simtime_t token_timeout = from_us(300);
-  std::uint32_t max_outstanding_tokens = 12;
 };
 
-class phost_source final : public packet_sink, public event_source {
+class phost_source final : public packet_sink,
+                           public event_source,
+                           public endpoint {
  public:
   phost_source(sim_env& env, phost_config cfg, std::uint32_t flow_id);
   ~phost_source() override;
@@ -50,35 +44,24 @@ class phost_source final : public packet_sink, public event_source {
                std::uint32_t dst_host, std::uint64_t flow_bytes,
                simtime_t start);
 
-  /// Teardown hook (flow recycling): cancel the pending start event and
-  /// unbind both demux endpoints.  Idempotent; also invoked by the
+  /// Teardown hook (flow recycling): cancel the pending start event, then
+  /// unbind and drop the paths as every endpoint does.  Also invoked by the
   /// destructor.
-  void disconnect();
+  void disconnect() override;
 
   void receive(packet& p) override;  // tokens
   void do_next_event() override;     // start
-
-  [[nodiscard]] std::uint64_t packets_sent() const { return packets_sent_; }
-  [[nodiscard]] std::uint32_t flow_id() const { return flow_id_; }
 
  private:
   void send_data(std::uint64_t seqno);
   [[nodiscard]] std::uint32_t payload_for(std::uint64_t seqno) const;
 
-  sim_env& env_;
   phost_config cfg_;
-  std::uint32_t flow_id_;
-  phost_sink* sink_ = nullptr;
-  path_set net_paths_;  ///< borrowed; the path owner outlives us
-  std::unique_ptr<path_selector> paths_;
-  std::uint32_t src_host_ = 0;
-  std::uint32_t dst_host_ = 0;
+  std::unique_ptr<path_selector> selector_;
   std::uint64_t flow_bytes_ = 0;
   std::uint64_t total_packets_ = 0;
   std::uint64_t next_unsent_ = 1;
   std::uint64_t credit_used_ = 0;
-  std::uint64_t packets_sent_ = 0;
-  simtime_t start_time_ = 0;
   timer_handle start_timer_;  ///< the one scheduled start event
   bool started_ = false;
 };
@@ -107,29 +90,22 @@ class phost_token_pacer final : public event_source {
   timer_handle timer_;
 };
 
-class phost_sink final : public packet_sink {
+/// Completes (the endpoint's record) when every packet of the flow has been
+/// received; tokens ride the reverse routes of its paths.
+class phost_sink final : public packet_sink, public endpoint {
  public:
   phost_sink(sim_env& env, phost_token_pacer& pacer, phost_config cfg,
              std::uint32_t flow_id);
 
-  /// Bind the path set whose reverse routes carry tokens to the sender.
-  void bind(path_set paths, std::uint32_t local_host,
-            std::uint32_t remote_host);
-
   void receive(packet& p) override;  // RTS + data
 
-  /// Teardown hook (flow recycling): leave the token pacer's ring eagerly
-  /// and drop the borrowed path view.  Idempotent.
-  void disconnect();
+  /// Teardown hook (flow recycling): leave the token pacer's ring eagerly,
+  /// then unbind and drop the paths.  Idempotent.
+  void disconnect() override;
 
-  void set_complete_callback(std::function<void()> cb) {
-    on_complete_ = std::move(cb);
+  [[nodiscard]] std::uint64_t payload_received() const override {
+    return payload_;
   }
-  [[nodiscard]] bool complete() const {
-    return total_packets_ != 0 && received_ == total_packets_;
-  }
-  [[nodiscard]] std::uint64_t payload_received() const { return payload_; }
-  [[nodiscard]] simtime_t completion_time() const { return completion_time_; }
 
   // pacer interface
   [[nodiscard]] bool wants_token() const;
@@ -141,25 +117,16 @@ class phost_sink final : public packet_sink {
  private:
   friend class phost_token_pacer;
 
-  sim_env& env_;
   phost_token_pacer& pacer_;
   phost_config cfg_;
-  std::uint32_t flow_id_;
-  path_set paths_;  ///< tokens ride paths_.reverse(i)
-  std::uint32_t local_host_ = 0;
-  std::uint32_t remote_host_ = 0;
 
   bool active_ = false;     ///< RTS seen, not complete
   bool in_ring_ = false;
   std::uint64_t total_packets_ = 0;
-  std::uint64_t received_ = 0;
-  std::uint64_t cum_ = 0;
-  std::set<std::uint64_t> ooo_;
+  seq_tracker received_;
   std::uint64_t tokens_granted_ = 0;  ///< cumulative credit sent
   std::uint64_t payload_ = 0;
   simtime_t last_arrival_ = 0;
-  simtime_t completion_time_ = -1;
-  std::function<void()> on_complete_;
 };
 
 }  // namespace ndpsim

@@ -48,20 +48,12 @@ void tcp_sink::receive(packet& p) {
 }
 
 void tcp_sink::send_ack(bool syn_ack, bool ecn_echo) {
-  NDPSIM_ASSERT_MSG(rev_route_ != nullptr, "tcp_sink not bound");
-  packet* a = env_.pool.alloc();
-  a->type = packet_type::tcp_ack;
-  a->priority = 1;
-  a->flow_id = flow_id_;
-  a->src = local_host_;
-  a->dst = remote_host_;
-  a->size_bytes = kHeaderBytes;
-  a->ackno = cum_;
-  if (syn_ack) a->set_flag(pkt_flag::syn);
-  if (ecn_echo) a->set_flag(pkt_flag::ce);
-  a->rt = rev_route_;
-  a->next_hop = 0;
-  send_to_next_hop(*a);
+  packet& a = make_packet(packet_type::tcp_ack, kHeaderBytes,
+                          paths_.reverse(0));
+  a.ackno = cum_;
+  if (syn_ack) a.set_flag(pkt_flag::syn);
+  if (ecn_echo) a.set_flag(pkt_flag::ce);
+  send_to_next_hop(a);
 }
 
 }  // namespace ndpsim

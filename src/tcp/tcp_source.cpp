@@ -6,17 +6,21 @@
 
 namespace ndpsim {
 
+namespace {
+/// RTT estimate before the first sample: a datacenter round trip.
+constexpr simtime_t kInitialRtt = from_us(100);
+}  // namespace
+
 tcp_source::tcp_source(sim_env& env, tcp_config cfg, std::uint32_t flow_id)
     : event_source(env.events, dispatch_class::transport_timer),
-      env_(env),
-      cfg_(cfg),
-      flow_id_(flow_id) {
+      endpoint(env, flow_id),
+      cfg_(cfg) {
   NDPSIM_ASSERT(cfg_.mss_bytes > kHeaderBytes);
   cwnd_ = static_cast<std::uint64_t>(cfg_.iw_mss) * payload_per_packet();
   ssthresh_ = static_cast<std::uint64_t>(cfg_.max_cwnd_mss) *
               payload_per_packet();
-  srtt_ = cfg_.initial_rtt;
-  rttvar_ = cfg_.initial_rtt / 2;
+  srtt_ = kInitialRtt;
+  rttvar_ = kInitialRtt / 2;
   rto_ = std::max(cfg_.min_rto, srtt_ + 4 * rttvar_);
 }
 
@@ -24,29 +28,15 @@ tcp_source::~tcp_source() { disconnect(); }
 
 void tcp_source::disconnect() {
   events().cancel(rto_timer_);  // pending start event or RTO, whichever
-  if (sink_ != nullptr) {
-    paths_.unbind(flow_id_);
-    sink_ = nullptr;
-  }
-  paths_ = path_set{};
+  endpoint::disconnect();
 }
 
 void tcp_source::connect(tcp_sink& sink, path_set paths,
                          std::uint32_t src_host, std::uint32_t dst_host,
                          std::uint64_t flow_bytes, simtime_t start) {
-  NDPSIM_ASSERT_MSG(!paths.empty(), "need at least one path");
-  sink_ = &sink;
-  paths_ = paths;
-  fwd_route_ = paths_.forward(0);
-  rev_route_ = paths_.reverse(0);
-  paths_.bind_dst(flow_id_, sink_);
-  paths_.bind_src(flow_id_, this);
-  sink_->bind(rev_route_, dst_host, src_host);
-  src_host_ = src_host;
-  dst_host_ = dst_host;
+  connect_to(sink, paths, src_host, dst_host, this, &sink);
   flow_bytes_ = flow_bytes;
   remaining_ = flow_bytes == 0 ? UINT64_MAX : flow_bytes;
-  start_time_ = start;
   // The start event shares the RTO handle so disconnect() can cancel a flow
   // that never started; the first arm_rto after start re-arms it.
   rto_timer_ = events().schedule_at(*this, start);
@@ -88,19 +78,12 @@ void tcp_source::start_flow() {
 }
 
 void tcp_source::send_syn() {
-  packet* p = env_.pool.alloc();
-  p->type = packet_type::tcp_data;
-  p->flow_id = flow_id_;
-  p->src = src_host_;
-  p->dst = dst_host_;
-  p->size_bytes = kHeaderBytes;
-  p->payload_bytes = 0;
-  p->set_flag(pkt_flag::syn);
-  p->rt = fwd_route_;
-  p->next_hop = 0;
+  packet& p = make_packet(packet_type::tcp_data, kHeaderBytes,
+                          paths_.forward(0));
+  p.set_flag(pkt_flag::syn);
   syn_outstanding_ = true;
   ++stats_.packets_sent;
-  send_to_next_hop(*p);
+  send_to_next_hop(p);
 }
 
 void tcp_source::enter_slow_start_after_timeout() {
@@ -139,18 +122,12 @@ void tcp_source::try_send() {
 
 void tcp_source::send_segment(std::uint64_t start, std::uint32_t len,
                               bool is_rtx) {
-  packet* p = env_.pool.alloc();
-  p->type = packet_type::tcp_data;
-  p->flow_id = flow_id_;
-  p->src = src_host_;
-  p->dst = dst_host_;
-  p->seqno = start;
-  p->payload_bytes = len;
-  p->size_bytes = len + kHeaderBytes;
-  if (cfg_.ecn) p->set_flag(pkt_flag::ect);
-  if (is_rtx) p->set_flag(pkt_flag::rtx);
-  p->rt = fwd_route_;
-  p->next_hop = 0;
+  packet& p = make_packet(packet_type::tcp_data, len + kHeaderBytes,
+                          paths_.forward(0));
+  p.seqno = start;
+  p.payload_bytes = len;
+  if (cfg_.ecn) p.set_flag(pkt_flag::ect);
+  if (is_rtx) p.set_flag(pkt_flag::rtx);
 
   auto [it, inserted] = segments_.try_emplace(start);
   it->second.len = len;
@@ -158,7 +135,7 @@ void tcp_source::send_segment(std::uint64_t start, std::uint32_t len,
   it->second.retransmitted = it->second.retransmitted || is_rtx || !inserted;
 
   ++stats_.packets_sent;
-  send_to_next_hop(*p);
+  send_to_next_hop(p);
 }
 
 void tcp_source::retransmit_head() {
@@ -274,7 +251,7 @@ void tcp_source::ecn_feedback(std::uint64_t /*newly_acked*/, bool echo) {
 void tcp_source::on_bytes_acked(std::uint64_t /*newly_acked*/) {}
 
 void tcp_source::update_rtt(simtime_t sample) {
-  if (srtt_ == cfg_.initial_rtt && rttvar_ == cfg_.initial_rtt / 2) {
+  if (srtt_ == kInitialRtt && rttvar_ == kInitialRtt / 2) {
     srtt_ = sample;
     rttvar_ = sample / 2;
   } else {
@@ -294,11 +271,9 @@ void tcp_source::arm_rto() {
 }
 
 void tcp_source::check_complete() {
-  if (!completed_ && flow_bytes_ > 0 && snd_una_ >= flow_bytes_) {
-    completed_ = true;
-    completion_time_ = env_.now();
+  if (!complete() && flow_bytes_ > 0 && snd_una_ >= flow_bytes_) {
     events().cancel(rto_timer_);
-    if (on_complete_) on_complete_();
+    mark_complete();
   }
 }
 

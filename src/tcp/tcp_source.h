@@ -8,14 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 
-#include "net/packet.h"
-#include "net/path_set.h"
-#include "net/route.h"
-#include "net/sim_env.h"
+#include "net/endpoint.h"
 #include "sim/eventlist.h"
 
 namespace ndpsim {
@@ -26,7 +21,6 @@ struct tcp_config {
   std::uint32_t mss_bytes = 9000;  ///< wire size of a full segment
   std::uint32_t iw_mss = 2;
   simtime_t min_rto = from_ms(200);  ///< Linux default; 200us = "aggressive"
-  simtime_t initial_rtt = from_us(100);
   std::uint32_t max_cwnd_mss = 200;  ///< receive-window bound (~paper buffers)
   bool handshake = true;  ///< false = TFO-like: data in the first packet
   bool ecn = false;       ///< set ECT on data, react to ECN echoes
@@ -40,7 +34,9 @@ struct tcp_stats {
   std::uint64_t ecn_echoes = 0;
 };
 
-class tcp_source : public packet_sink, public event_source {
+/// Completes (the endpoint's record) when a finite flow's last byte is
+/// cumulatively acked.
+class tcp_source : public packet_sink, public event_source, public endpoint {
  public:
   tcp_source(sim_env& env, tcp_config cfg, std::uint32_t flow_id);
   ~tcp_source() override;
@@ -52,26 +48,19 @@ class tcp_source : public packet_sink, public event_source {
                std::uint32_t dst_host, std::uint64_t flow_bytes,
                simtime_t start);
 
-  /// Teardown hook (flow recycling): cancel the pending start/RTO timer and
-  /// unbind both demux endpoints.  Idempotent; also invoked by the
-  /// destructor, so a connected source can be destroyed at any point without
-  /// dangling event-list entries or demux bindings.
-  void disconnect();
+  /// Teardown hook (flow recycling): cancel the pending start/RTO timer,
+  /// then unbind and drop the paths as every endpoint does.  Also invoked by
+  /// the destructor, so a connected source can be destroyed at any point
+  /// without dangling event-list entries or demux bindings.
+  void disconnect() override;
 
   void receive(packet& p) override;  // ACKs
   void do_next_event() override;     // start + RTO timer
 
-  void set_complete_callback(std::function<void()> cb) {
-    on_complete_ = std::move(cb);
-  }
-
   [[nodiscard]] const tcp_stats& stats() const { return stats_; }
-  [[nodiscard]] bool complete() const { return completed_; }
-  [[nodiscard]] simtime_t completion_time() const { return completion_time_; }
   [[nodiscard]] std::uint64_t cwnd_bytes() const { return cwnd_; }
   [[nodiscard]] std::uint64_t bytes_acked() const { return snd_una_; }
   [[nodiscard]] simtime_t srtt() const { return srtt_; }
-  [[nodiscard]] std::uint32_t flow_id() const { return flow_id_; }
   [[nodiscard]] const tcp_config& config() const { return cfg_; }
 
  protected:
@@ -95,7 +84,6 @@ class tcp_source : public packet_sink, public event_source {
     return cfg_.mss_bytes - kHeaderBytes;
   }
 
-  sim_env& env_;
   tcp_config cfg_;
   std::uint64_t cwnd_ = 0;      ///< bytes
   std::uint64_t ssthresh_ = 0;  ///< bytes
@@ -117,14 +105,6 @@ class tcp_source : public packet_sink, public event_source {
   void update_rtt(simtime_t sample);
   void check_complete();
 
-  std::uint32_t flow_id_;
-  tcp_sink* sink_ = nullptr;
-  path_set paths_;  ///< borrowed; path 0 is the flow's route pair
-  const route* fwd_route_ = nullptr;
-  const route* rev_route_ = nullptr;
-  std::uint32_t src_host_ = 0;
-  std::uint32_t dst_host_ = 0;
-
   std::uint64_t flow_bytes_ = 0;  ///< 0 = unbounded
   std::uint64_t remaining_ = 0;
   std::uint64_t snd_una_ = 0;
@@ -143,13 +123,9 @@ class tcp_source : public packet_sink, public event_source {
   timer_handle rto_timer_;  ///< rescheduled on every ACK, cancelled when idle
   simtime_t last_ecn_cut_ = -1;
 
-  simtime_t start_time_ = 0;
   bool started_ = false;
-  bool completed_ = false;
-  simtime_t completion_time_ = -1;
 
   tcp_stats stats_;
-  std::function<void()> on_complete_;
 };
 
 }  // namespace ndpsim

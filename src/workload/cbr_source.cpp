@@ -6,10 +6,9 @@ cbr_source::cbr_source(sim_env& env, linkspeed_bps rate,
                        std::uint32_t mss_bytes, std::uint32_t flow_id,
                        double jitter_frac)
     : event_source(env.events, dispatch_class::pacer_tick),
-      env_(env),
+      endpoint(env, flow_id),
       rate_(rate),
       mss_bytes_(mss_bytes),
-      flow_id_(flow_id),
       jitter_frac_(jitter_frac) {
   NDPSIM_ASSERT(rate_ > 0);
   NDPSIM_ASSERT(mss_bytes_ > kHeaderBytes);
@@ -20,28 +19,16 @@ cbr_source::~cbr_source() { disconnect(); }
 
 void cbr_source::start(path_set paths, packet_sink* rx, std::uint32_t src,
                        std::uint32_t dst, simtime_t start_at) {
-  NDPSIM_ASSERT_MSG(!paths.empty(), "need at least one path");
-  route_ = paths.forward(0);
+  bind(paths, src, dst);
   paths.bind_dst(flow_id_, rx);
-  dst_demux_ = paths.dst_demux;
-  src_ = src;
-  dst_ = dst;
   timer_ = events().schedule_at(*this, start_at);
 }
 
 void cbr_source::do_next_event() {
-  packet* p = env_.pool.alloc();
-  p->type = packet_type::cbr_data;
-  p->flow_id = flow_id_;
-  p->src = src_;
-  p->dst = dst_;
-  p->seqno = ++seq_;
-  p->size_bytes = mss_bytes_;
-  p->payload_bytes = mss_bytes_ - kHeaderBytes;
-  p->rt = route_;
-  p->next_hop = 0;
-  ++sent_;
-  send_to_next_hop(*p);
+  packet& p = make_packet(packet_type::cbr_data, mss_bytes_, paths_.forward(0));
+  p.seqno = ++seq_;
+  p.payload_bytes = mss_bytes_ - kHeaderBytes;
+  send_to_next_hop(p);
   simtime_t period = serialization_time(mss_bytes_, rate_);
   if (jitter_frac_ > 0.0) {
     const double noise = (env_.rand_unit() - 0.5) * jitter_frac_;

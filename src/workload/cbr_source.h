@@ -5,12 +5,7 @@
 // service model (CP vs NDP queue) from any transport reaction.
 #pragma once
 
-#include <memory>
-
-#include "net/packet.h"
-#include "net/path_set.h"
-#include "net/route.h"
-#include "net/sim_env.h"
+#include "net/endpoint.h"
 #include "sim/eventlist.h"
 
 namespace ndpsim {
@@ -42,7 +37,8 @@ class counting_sink final : public packet_sink {
   std::uint64_t headers_ = 0;
 };
 
-class cbr_source final : public event_source {
+/// Never completes: it sends until stopped.
+class cbr_source final : public event_source, public endpoint {
  public:
   /// `jitter_frac` adds uniform timing noise of +-(jitter/2) x period to each
   /// send, modelling OS/NIC scheduling variability (keeps mean rate exact).
@@ -62,32 +58,19 @@ class cbr_source final : public event_source {
   /// Stop sending (cancels the pending send timer).
   void stop() { events().cancel(timer_); }
 
-  /// Teardown hook (flow recycling): stop sending and unbind the receiving
-  /// endpoint from the destination demux.  Idempotent; also invoked by the
-  /// destructor.
-  void disconnect() {
+  /// Teardown hook (flow recycling): stop sending, then unbind and drop the
+  /// paths as every endpoint does.  Also invoked by the destructor.
+  void disconnect() override {
     stop();
-    if (dst_demux_ != nullptr) {
-      dst_demux_->unbind(flow_id_);
-      dst_demux_ = nullptr;
-    }
+    endpoint::disconnect();
   }
-
-  [[nodiscard]] std::uint64_t packets_sent() const { return sent_; }
 
  private:
   timer_handle timer_;
-  sim_env& env_;
   linkspeed_bps rate_;
   std::uint32_t mss_bytes_;
-  std::uint32_t flow_id_;
   double jitter_frac_;
-  const route* route_ = nullptr;  ///< borrowed; the path owner outlives us
-  flow_demux* dst_demux_ = nullptr;  ///< where rx was bound (for unbind)
-  std::uint32_t src_ = 0;
-  std::uint32_t dst_ = 0;
   std::uint64_t seq_ = 0;
-  std::uint64_t sent_ = 0;
 };
 
 }  // namespace ndpsim

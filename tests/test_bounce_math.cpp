@@ -55,7 +55,6 @@ TEST_P(bounce_math, header_returns_to_source_endpoint) {
   packet* p = env.pool.alloc();
   p->type = packet_type::ndp_data;
   p->set_flag(pkt_flag::trimmed);
-  p->priority = 1;
   p->size_bytes = kHeaderBytes;
   p->seqno = 77;
   p->src = 10;

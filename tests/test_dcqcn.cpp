@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "dcqcn/dcqcn_sink.h"
 #include "dcqcn/dcqcn_source.h"
 #include "net/fifo_queues.h"
 #include "net/lossless.h"

@@ -26,8 +26,7 @@ queue_factory ecn_factory(sim_env& env, std::uint32_t cap_pkts,
 struct dconn {
   dconn(sim_env& env, fabric_instance& topo, std::uint32_t s, std::uint32_t d,
         std::uint64_t bytes, std::uint32_t fid, tcp_config cfg = {})
-      : source(env, [&] { cfg.handshake = false; return cfg; }(),
-               dctcp_config{}, fid),
+      : source(env, [&] { cfg.handshake = false; return cfg; }(), fid),
         sink(env, fid) {
     source.connect(sink, topo.paths().single(s, d, 0), s, d, bytes, 0);
   }

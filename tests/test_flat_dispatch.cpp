@@ -429,7 +429,9 @@ std::vector<int> run_zero_delay(bool flat) {
   b.kick(from_us(1));
   h.kick(from_us(1));
   env.events.run_until(from_us(100));
-  if (flat) EXPECT_GT(env.events.dispatch_stats().flat_runs, 0u);
+  if (flat) {
+    EXPECT_GT(env.events.dispatch_stats().flat_runs, 0u);
+  }
   g_log = nullptr;
   return log;
 }

@@ -37,7 +37,7 @@ TEST(mptcp, completes_finite_flow_across_subflows) {
   auto m = make_mptcp(env, ls, 0, 1, 400 * 8936, 4);
   env.events.run_until(from_sec(1));
   EXPECT_TRUE(m->complete());
-  EXPECT_EQ(m->total_payload_received(), 400u * 8936);
+  EXPECT_EQ(m->payload_received(), 400u * 8936);
   // All subflows contributed (striped allocation).
   for (std::size_t i = 0; i < m->n_subflows(); ++i) {
     EXPECT_GT(m->subflow(i).stats().packets_sent, 0u);
@@ -52,9 +52,9 @@ TEST(mptcp, aggregates_multiple_paths_beyond_one_subflow) {
   leaf_spine ls(env, 2, 4, 1, gbps(10), from_us(1), droptail_factory(env));
   auto m = make_mptcp(env, ls, 0, 1, 0, 4);
   env.events.run_until(from_ms(5));
-  const std::uint64_t base = m->total_payload_received();
+  const std::uint64_t base = m->payload_received();
   env.events.run_until(from_ms(15));
-  const double gb = static_cast<double>(m->total_payload_received() - base) *
+  const double gb = static_cast<double>(m->payload_received() - base) *
                     8 / to_sec(from_ms(10)) / 1e9;
   EXPECT_GT(gb, 8.5);
 }
@@ -76,10 +76,10 @@ TEST(mptcp, coupled_increase_is_subcapacity_fair_to_tcp) {
   tcp.connect(tsink, star.paths().single(1, 2, 0), 1, 2, 0, 0);
 
   env.events.run_until(from_ms(50));
-  const std::uint64_t mb = m->total_payload_received();
+  const std::uint64_t mb = m->payload_received();
   const std::uint64_t tb = tsink.payload_received();
   env.events.run_until(from_ms(550));
-  const double mshare = static_cast<double>(m->total_payload_received() - mb);
+  const double mshare = static_cast<double>(m->payload_received() - mb);
   const double tshare = static_cast<double>(tsink.payload_received() - tb);
   const double frac = mshare / (mshare + tshare);
   // LIA should keep MPTCP's aggregate near the TCP flow's share. Allow a

@@ -369,7 +369,7 @@ TEST(ndp_queue, trim_packet_helper) {
   EXPECT_EQ(p.size_bytes, kHeaderBytes);
   EXPECT_EQ(p.payload_bytes, 0u);
   EXPECT_TRUE(p.has_flag(pkt_flag::trimmed));
-  EXPECT_EQ(p.priority, 1);
+  EXPECT_TRUE(p.is_header_class());
 }
 
 }  // namespace

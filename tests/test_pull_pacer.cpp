@@ -13,13 +13,6 @@
 namespace ndpsim {
 namespace {
 
-queue_factory hostq_factory(sim_env& env) {
-  return [&env](link_level, std::size_t,
-                linkspeed_bps rate) -> std::unique_ptr<queue_base> {
-    return std::make_unique<host_priority_queue>(env, rate);
-  };
-}
-
 // Harness: a sink bound to a recording control route, so issued pulls can be
 // observed directly without a full connection (the collector swallows the
 // pulls before they would reach the demux terminal).

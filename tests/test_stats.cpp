@@ -50,7 +50,7 @@ TEST(sample_set, cdf_rows_end_at_one) {
 
 TEST(sample_set, empty_quantile_throws) {
   sample_set s;
-  EXPECT_THROW(s.median(), simulation_error);
+  EXPECT_THROW((void)s.median(), simulation_error);
 }
 
 TEST(fct_recorder, records_durations) {

@@ -181,9 +181,9 @@ TEST(tcp_sink, reorders_and_acks_cumulatively) {
   sim_env env;
   tcp_sink sink(env, 1);
   testing::recording_sink ack_collector(env);
-  owned_route rev;
-  rev.push_back(&ack_collector);
-  sink.bind(&rev, 1, 0);
+  manual_paths mp;  // the collector swallows ACKs before the demux terminal
+  mp.add({}, {&ack_collector});
+  sink.bind(mp.set(), 1, 0);
   auto deliver = [&](std::uint64_t start, std::uint32_t len) {
     packet* p = env.pool.alloc();
     p->type = packet_type::tcp_data;

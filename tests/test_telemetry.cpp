@@ -178,7 +178,9 @@ TEST_P(telemetry_leaf_spine, incast_conserves_every_component) {
   ASSERT_EQ(fabric.n_hosts(), 8u);
   expect_queue_conservation(fabric);
   expect_pipe_and_demux_conservation(fabric, *env.telemetry);
-  if (GetParam() == protocol::ndp) EXPECT_GT(trims, 0u);
+  if (GetParam() == protocol::ndp) {
+    EXPECT_GT(trims, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(all_transports, telemetry_leaf_spine,
