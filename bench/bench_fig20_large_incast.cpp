@@ -24,15 +24,16 @@ void run_case(std::size_t n, std::uint32_t iw) {
   const incast_result res =
       run_incast(*bed, protocol::ndp, senders, 0, 270'000, o, from_sec(60));
   const double opt = incast_optimal_us(n, 270'000, 9000, gbps(10), from_us(45));
-  const double total_pkts = static_cast<double>(res.packets_sent);
+  const transport_counters& c = res.stats;
+  const double total_pkts = static_cast<double>(c.packets_sent);
   bench::print_row(
       "IW=" + std::to_string(iw) + " n=" + std::to_string(n),
       {{"overhead_pct", 100.0 * (res.last_fct_us - opt) / opt},
-       {"rtx_per_pkt_nack", static_cast<double>(res.rtx_after_nack) / total_pkts},
+       {"rtx_per_pkt_nack", static_cast<double>(c.rtx_after_nack) / total_pkts},
        {"rtx_per_pkt_bounce",
-        static_cast<double>(res.rtx_after_bounce) / total_pkts},
+        static_cast<double>(c.rtx_after_bounce) / total_pkts},
        {"rtx_per_pkt_timeout",
-        static_cast<double>(res.rtx_after_timeout) / total_pkts},
+        static_cast<double>(c.rtx_after_timeout) / total_pkts},
        {"completed", static_cast<double>(res.completed)}});
 }
 

@@ -68,8 +68,8 @@ int main() {
   std::size_t done = 0;
   for (flow* f : fs) {
     done += f->complete() ? 1 : 0;
-    bounces += f->ndp_src()->stats().bounces_received;
-    timeouts += f->ndp_src()->stats().rtx_after_timeout;
+    bounces += f->stats().bounces_received;
+    timeouts += f->stats().rtx_after_timeout;
   }
   std::printf("incast 20x30pkt: %zu/20 complete, %llu return-to-sender "
               "bounces, %llu RTO retransmissions\n",

@@ -55,9 +55,9 @@ void run(protocol proto) {
                 static_cast<unsigned long long>(tor_down.trim_pkts));
     std::printf("retransmissions: %llu after NACK, %llu after "
                 "return-to-sender, %llu after timeout\n",
-                static_cast<unsigned long long>(res.rtx_after_nack),
-                static_cast<unsigned long long>(res.rtx_after_bounce),
-                static_cast<unsigned long long>(res.rtx_after_timeout));
+                static_cast<unsigned long long>(res.stats.rtx_after_nack),
+                static_cast<unsigned long long>(res.stats.rtx_after_bounce),
+                static_cast<unsigned long long>(res.stats.rtx_after_timeout));
   }
   std::printf("\n");
 }

@@ -34,11 +34,13 @@ int main() {
   std::printf("flow completion time: %.1f us\n", f.fct_us());
   std::printf("payload delivered: %llu bytes\n",
               static_cast<unsigned long long>(f.payload_received()));
-  const ndp_source_stats& s = f.ndp_src()->stats();
+  const transport_counters s = f.stats();
   std::printf("packets sent: %llu (rtx %llu), ACKs %llu, NACKs %llu, "
               "PULLs %llu\n",
               static_cast<unsigned long long>(s.packets_sent),
-              static_cast<unsigned long long>(s.rtx_sent),
+              static_cast<unsigned long long>(s.rtx_after_nack +
+                                              s.rtx_after_bounce +
+                                              s.rtx_after_timeout),
               static_cast<unsigned long long>(s.acks_received),
               static_cast<unsigned long long>(s.nacks_received),
               static_cast<unsigned long long>(s.pulls_received));

@@ -7,13 +7,13 @@ void dcqcn_sink::receive(packet& p) {
   NDPSIM_ASSERT(p.flow_id == flow_id_);
 
   const bool marked = p.has_flag(pkt_flag::ce);
-  if (received_.add(p.seqno)) payload_ += p.payload_bytes;
+  if (received_.add(p.seqno)) counters_.payload_bytes += p.payload_bytes;
 
   // NP: CNPs are rate-limited per flow; ACK every packet (cumulative).
   constexpr simtime_t kCnpInterval = from_us(50);
   if (marked && env_.now() - last_cnp_ >= kCnpInterval) {
     last_cnp_ = env_.now();
-    ++cnps_;
+    ++counters_.cnps_sent;
     send_control(packet_type::dcqcn_cnp, received_.cumulative());
   }
   send_control(packet_type::dcqcn_ack, received_.cumulative());

@@ -130,7 +130,7 @@ void dcqcn_source::receive(packet& p) {
 }
 
 void dcqcn_source::on_cnp() {
-  ++stats_.cnps_received;
+  ++counters_.ecn_echoes;
   last_cnp_ = env_.now();
   rt_ = rc_;
   rc_ = static_cast<linkspeed_bps>(static_cast<double>(rc_) *

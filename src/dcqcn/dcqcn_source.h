@@ -29,10 +29,6 @@ struct dcqcn_config {
   linkspeed_bps line_rate = gbps(10);
 };
 
-struct dcqcn_stats {
-  std::uint64_t cnps_received = 0;
-};
-
 /// Completes (the endpoint's record) when a finite flow's last packet is
 /// cumulatively acked.
 class dcqcn_source final : public packet_sink,
@@ -57,7 +53,6 @@ class dcqcn_source final : public packet_sink,
 
   [[nodiscard]] linkspeed_bps current_rate() const { return rc_; }
   [[nodiscard]] double alpha() const { return alpha_; }
-  [[nodiscard]] const dcqcn_stats& stats() const { return stats_; }
 
  private:
   void send_next_packet();
@@ -89,8 +84,6 @@ class dcqcn_source final : public packet_sink,
   simtime_t next_send_ = 0;
   timer_handle pace_timer_;
   bool started_ = false;
-
-  dcqcn_stats stats_;
 };
 
 /// NP: acks every data packet (cumulatively) and emits CNPs for CE marks at
@@ -101,17 +94,10 @@ class dcqcn_sink final : public packet_sink, public endpoint {
 
   void receive(packet& p) override;
 
-  [[nodiscard]] std::uint64_t payload_received() const override {
-    return payload_;
-  }
-  [[nodiscard]] std::uint64_t cnps_sent() const { return cnps_; }
-
  private:
   void send_control(packet_type type, std::uint64_t ackno);
 
   seq_tracker received_;
-  std::uint64_t payload_ = 0;
-  std::uint64_t cnps_ = 0;
   simtime_t last_cnp_ = -from_sec(1);
 };
 

@@ -106,8 +106,6 @@ class campaign_runner {
   campaign_result run(const std::vector<experiment_config>& configs,
                       const experiment_fn& body) const;
 
-  [[nodiscard]] const campaign_config& config() const { return cfg_; }
-
  private:
   campaign_config cfg_;
 };

@@ -141,12 +141,7 @@ incast_result run_incast(testbed& bed, protocol proto,
     last = std::max(last, to_us(f->completion_time()) - to_us(opts.start));
     if (first < 0) first = fct;
     first = std::min(first, fct);
-    if (ndp_source* s = f->ndp_src(); s != nullptr) {
-      res.packets_sent += s->stats().packets_sent;
-      res.rtx_after_nack += s->stats().rtx_after_nack;
-      res.rtx_after_bounce += s->stats().rtx_after_bounce;
-      res.rtx_after_timeout += s->stats().rtx_after_timeout;
-    }
+    res.stats += f->stats();
   }
   res.last_fct_us = last;
   res.first_fct_us = first < 0 ? 0 : first;

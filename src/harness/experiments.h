@@ -72,11 +72,7 @@ struct incast_result {
   double last_fct_us = 0;     ///< completion of the whole incast
   double first_fct_us = 0;    ///< fastest flow (fairness spread)
   std::size_t completed = 0;
-  // NDP accounting (zero for other protocols).
-  std::uint64_t packets_sent = 0;
-  std::uint64_t rtx_after_nack = 0;
-  std::uint64_t rtx_after_bounce = 0;
-  std::uint64_t rtx_after_timeout = 0;
+  transport_counters stats;  ///< the completed flows' `flow::stats()`, summed
 };
 
 /// n-to-1 incast of `bytes` per sender into `receiver`; runs until all flows

@@ -11,6 +11,13 @@
 
 namespace ndpsim {
 
+transport_counters flow::stats() const {
+  transport_counters sum = source_->stats();
+  if (sink_ != nullptr) return sum += sink_->stats();
+  // Only an MPTCP flow has no sink: its connection owns the subflows'.
+  return sum += static_cast<const mptcp_source&>(*source_).subflow_stats();
+}
+
 pull_pacer& flow_factory::ndp_pacer(std::uint32_t host) {
   auto it = pull_pacers_.find(host);
   if (it == pull_pacers_.end()) {
@@ -163,14 +170,6 @@ void flow_factory::destroy(flow& f) {
   free_slots_.push_back(slot);
   --live_;
   ++destroyed_;
-}
-
-std::uint64_t flow_factory::total_payload_received() const {
-  std::uint64_t total = 0;
-  for (const auto& f : flows_) {
-    if (f != nullptr) total += f->payload_received();
-  }
-  return total;
 }
 
 std::size_t flow_factory::completed_count() const {

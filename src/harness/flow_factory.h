@@ -62,6 +62,9 @@ class flow {
     // An MPTCP connection owns its subflows' sinks and sums them.
     return (sink_ != nullptr ? *sink_ : *source_).payload_received();
   }
+  /// The flow's counters: its source's plus its sink's (an MPTCP flow's
+  /// subflows' plus their sinks').
+  [[nodiscard]] transport_counters stats() const;
   [[nodiscard]] bool complete() const { return completes_->complete(); }
   [[nodiscard]] simtime_t completion_time() const {
     return completes_->completion_time();
@@ -84,7 +87,7 @@ class flow {
       s->set_latency_callback(std::move(cb));
     }
   }
-  /// Protocol-specific escape for stats collection (null when not NDP).
+  /// The NDP source (null when not NDP).
   [[nodiscard]] ndp_source* ndp_src() {
     return dynamic_cast<ndp_source*>(source_.get());
   }
@@ -152,7 +155,6 @@ class flow_factory {
   [[nodiscard]] const std::vector<std::unique_ptr<flow>>& flows() const {
     return flows_;
   }
-  [[nodiscard]] std::uint64_t total_payload_received() const;
   [[nodiscard]] std::size_t completed_count() const;
   /// Currently live (created, not destroyed) flows.
   [[nodiscard]] std::size_t live_count() const { return live_; }

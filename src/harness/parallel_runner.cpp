@@ -1,7 +1,6 @@
 #include "harness/parallel_runner.h"
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 
 namespace ndpsim {
@@ -16,21 +15,14 @@ namespace {
 
 void run_one(const experiment_config& cfg, const experiment_fn& body,
              experiment_outcome& out) {
-  const auto t0 = std::chrono::steady_clock::now();
   sim_env env(cfg.seed);
   fct_recorder fcts;
   body(cfg, env, fcts);
-  const auto t1 = std::chrono::steady_clock::now();
   out.config = cfg;
   out.fcts = std::move(fcts);
   out.telemetry = std::move(env.telemetry);  // outlive the per-job env
   out.events_processed = env.events.events_processed();
   out.sim_end = env.events.now();
-  out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.events_per_sec =
-      out.wall_seconds > 0
-          ? static_cast<double>(out.events_processed) / out.wall_seconds
-          : 0.0;
 }
 
 }  // namespace

@@ -44,9 +44,7 @@ struct experiment_outcome {
   experiment_config config;
   fct_recorder fcts;
   std::uint64_t events_processed = 0;
-  simtime_t sim_end = 0;         ///< simulated time the run finished at
-  double wall_seconds = 0;
-  double events_per_sec = 0;
+  simtime_t sim_end = 0;  ///< simulated time the run finished at
   /// The job's telemetry plane, if the body attached one to its env
   /// (salvaged before the per-job env dies).  Null when telemetry was off.
   std::shared_ptr<telemetry_plane> telemetry;

@@ -78,10 +78,11 @@ void mptcp_source::note_acked(std::uint64_t bytes) {
   }
 }
 
-std::uint64_t mptcp_source::payload_received() const {
-  std::uint64_t total = 0;
-  for (const auto& s : sinks_) total += s->payload_received();
-  return total;
+transport_counters mptcp_source::subflow_stats() const {
+  transport_counters sum;
+  for (const auto& s : subflows_) sum += s->stats();
+  for (const auto& s : sinks_) sum += s->stats();
+  return sum;
 }
 
 }  // namespace ndpsim

@@ -62,8 +62,13 @@ class mptcp_source final : public endpoint {
   [[nodiscard]] std::uint64_t bytes_acked() const { return total_acked_; }
   [[nodiscard]] std::size_t n_subflows() const { return subflows_.size(); }
   [[nodiscard]] tcp_source& subflow(std::size_t i) { return *subflows_[i]; }
+  /// The counters of every subflow and its sink, summed (the connection
+  /// itself sends and receives nothing).
+  [[nodiscard]] transport_counters subflow_stats() const;
   /// Payload received over every subflow.
-  [[nodiscard]] std::uint64_t payload_received() const override;
+  [[nodiscard]] std::uint64_t payload_received() const override {
+    return subflow_stats().payload_bytes;
+  }
 
   /// {sum of subflow windows, max subflow window}, in bytes.
   [[nodiscard]] std::pair<double, double> window_totals() const;

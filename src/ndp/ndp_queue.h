@@ -40,7 +40,6 @@ class ndp_queue final : public queue_base {
   [[nodiscard]] std::size_t buffered_packets() const override {
     return data_.size() + hdr_.size();
   }
-  [[nodiscard]] const ndp_queue_config& config() const { return cfg_; }
 
   /// Trim a data packet to a header in place (shared with the P4 pipeline
   /// emulation, which must behave identically).

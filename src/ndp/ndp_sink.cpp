@@ -21,17 +21,17 @@ void ndp_sink::receive(packet& p) {
 
   if (p.has_flag(pkt_flag::trimmed)) {
     send_control(packet_type::ndp_nack, p.seqno, p.path_id);
-    ++stats_.nacks_sent;
+    ++counters_.nacks_sent;
     note_arrival_for_pull();
     env_.pool.release(&p);
     return;
   }
 
   if (received_.add(p.seqno)) {
-    stats_.payload_bytes += p.payload_bytes;
+    counters_.payload_bytes += p.payload_bytes;
     if (p.has_flag(pkt_flag::last)) total_packets_ = p.seqno;
   } else {
-    ++stats_.duplicate_packets;
+    ++counters_.duplicate_packets;
   }
 
   // Always ACK, even duplicates: the sender needs to free its copy.

@@ -19,12 +19,6 @@ struct ndp_sink_config {
   std::uint8_t pull_class = 0;     ///< pull priority (0 = default/lowest)
 };
 
-struct ndp_sink_stats {
-  std::uint64_t duplicate_packets = 0;
-  std::uint64_t nacks_sent = 0;
-  std::uint64_t payload_bytes = 0;
-};
-
 /// Completes (the endpoint's record) when every packet of a finite flow has
 /// been received; control packets ride the reverse routes of its paths.
 class ndp_sink final : public packet_sink, public endpoint {
@@ -42,11 +36,6 @@ class ndp_sink final : public packet_sink, public endpoint {
 
   /// Fixed at construction (`ndp_sink_config::pull_class`).
   [[nodiscard]] std::uint8_t pull_class() const { return cfg_.pull_class; }
-
-  [[nodiscard]] const ndp_sink_stats& stats() const { return stats_; }
-  [[nodiscard]] std::uint64_t payload_received() const override {
-    return stats_.payload_bytes;
-  }
 
   // --- pull_pacer interface ---------------------------------------------
   /// Build and transmit one PULL packet (called by the pacer).
@@ -73,8 +62,6 @@ class ndp_sink final : public packet_sink, public endpoint {
   // pacer bookkeeping
   std::uint64_t pulls_pending_ = 0;
   bool in_ring_ = false;
-
-  ndp_sink_stats stats_;
 };
 
 }  // namespace ndpsim

@@ -105,8 +105,6 @@ void ndp_source::send_data(std::uint64_t seqno, bool is_rtx) {
 
   arm_rto(seqno, info, env_.now() + cfg_.rto);
 
-  ++stats_.packets_sent;
-  if (is_rtx) ++stats_.rtx_sent;
   send_to_next_hop(p);
 }
 
@@ -137,7 +135,7 @@ void ndp_source::receive(packet& p) {
 }
 
 void ndp_source::handle_ack(const packet& p) {
-  ++stats_.acks_received;
+  ++counters_.acks_received;
   first_window_phase_ = false;
   selector_->record_ack(p.path_id);
 
@@ -155,7 +153,7 @@ void ndp_source::handle_ack(const packet& p) {
 }
 
 void ndp_source::handle_nack(const packet& p) {
-  ++stats_.nacks_received;
+  ++counters_.nacks_received;
   first_window_phase_ = false;
   selector_->record_nack(p.path_id);
   queue_rtx(p.seqno, tx_state::nacked);
@@ -172,7 +170,7 @@ void ndp_source::queue_rtx(std::uint64_t seqno, tx_state why) {
 }
 
 void ndp_source::handle_pull(const packet& p) {
-  ++stats_.pulls_received;
+  ++counters_.pulls_received;
   last_pull_seen_ = env_.now();
   first_window_phase_ = false;
   // PULL counters tolerate reordering: a delayed pull arriving after a newer
@@ -190,8 +188,10 @@ void ndp_source::send_next_from_pull() {
     rtx_pending_.erase(rtx_pending_.begin());
     auto it = outstanding_.find(seq);
     if (it != outstanding_.end()) {
-      if (it->second.state == tx_state::nacked) ++stats_.rtx_after_nack;
-      if (it->second.state == tx_state::bounced) ++stats_.rtx_after_bounce;
+      if (it->second.state == tx_state::nacked) ++counters_.rtx_after_nack;
+      if (it->second.state == tx_state::bounced) {
+        ++counters_.rtx_after_bounce;
+      }
       send_data(seq, /*is_rtx=*/true);
     }
     return;
@@ -203,7 +203,7 @@ void ndp_source::send_next_from_pull() {
 }
 
 void ndp_source::handle_bounce(packet& p) {
-  ++stats_.bounces_received;
+  ++counters_.bounces_received;
   const std::uint64_t seq = p.seqno;
   selector_->record_loss(p.path_id);
   auto it = outstanding_.find(seq);
@@ -215,15 +215,16 @@ void ndp_source::handle_bounce(packet& p) {
   // different path at once is the right call.  Otherwise wait for a PULL,
   // avoiding an echo of the original incast.
   const std::int64_t pulls_owed =
-      static_cast<std::int64_t>(stats_.acks_received + stats_.nacks_received) -
-      static_cast<std::int64_t>(stats_.pulls_received);
+      static_cast<std::int64_t>(counters_.acks_received +
+                                counters_.nacks_received) -
+      static_cast<std::int64_t>(counters_.pulls_received);
   constexpr double kAckDominance = 4.0;
   const bool acks_dominate =
-      stats_.acks_received >
+      counters_.acks_received >
       kAckDominance * static_cast<double>(std::max<std::uint64_t>(
-                          stats_.nacks_received, 1));
+                          counters_.nacks_received, 1));
   if (pulls_owed <= 0 || acks_dominate) {
-    ++stats_.rtx_after_bounce;
+    ++counters_.rtx_after_bounce;
     send_data(seq, /*is_rtx=*/true);
   } else {
     it->second.state = tx_state::bounced;
@@ -356,7 +357,7 @@ void ndp_source::process_rto_heap() {
     // failure. Retransmit directly on a different path (§3.2.3).
     selector_->record_loss(info.last_path);
     rtx_pending_.erase(e.seqno);
-    ++stats_.rtx_after_timeout;
+    ++counters_.rtx_after_timeout;
     send_data(e.seqno, /*is_rtx=*/true);
   }
   if (rto_heap_.empty()) {

@@ -34,17 +34,9 @@ struct ndp_source_config {
   path_penalty_config penalty = {};
 };
 
-struct ndp_source_stats {
-  std::uint64_t packets_sent = 0;  ///< includes retransmissions
-  std::uint64_t rtx_sent = 0;
-  std::uint64_t rtx_after_nack = 0;
-  std::uint64_t rtx_after_bounce = 0;
-  std::uint64_t rtx_after_timeout = 0;
-  std::uint64_t acks_received = 0;
-  std::uint64_t nacks_received = 0;
-  std::uint64_t pulls_received = 0;
-  std::uint64_t bounces_received = 0;
-};
+/// The former name of the NDP source's counters, still used by the
+/// benchmark's `ndp_totals`.
+using ndp_source_stats = transport_counters;
 
 class ndp_source final : public packet_sink,
                          public event_source,
@@ -79,9 +71,7 @@ class ndp_source final : public packet_sink,
     on_latency_ = std::move(cb);
   }
 
-  [[nodiscard]] const ndp_source_stats& stats() const { return stats_; }
   [[nodiscard]] std::uint64_t total_packets() const { return total_packets_; }
-  [[nodiscard]] const ndp_source_config& config() const { return cfg_; }
 
   static constexpr std::uint64_t kUnbounded = UINT64_MAX;
 
@@ -152,7 +142,6 @@ class ndp_source final : public packet_sink,
   bool first_window_phase_ = true;
   simtime_t last_pull_seen_ = -1;
 
-  ndp_source_stats stats_;
   std::function<void(simtime_t)> on_latency_;
 };
 

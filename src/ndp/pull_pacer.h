@@ -47,7 +47,6 @@ class pull_pacer final : public event_source {
   void do_next_event() override;
 
   [[nodiscard]] std::size_t backlog() const { return backlog_; }
-  [[nodiscard]] linkspeed_bps link_rate() const { return rate_; }
 
  private:
   void send_one();

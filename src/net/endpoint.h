@@ -10,10 +10,12 @@
 //    and hands the sink the same paths, and `disconnect` unbinds them;
 //  * the completion record: the time the transfer finished and a callback
 //    that fires once, set by whichever side learns it first (`flow` reads it
-//    from that side).
+//    from that side);
+//  * its `transport_counters`, the one counter set of every transport.
 // `make_packet` is the packet builder, the one place a transport packet is
-// taken from the pool and addressed.  `seq_tracker` is the one record of
-// which packet sequence numbers have arrived.
+// taken from the pool and addressed; it counts the data packets sent.
+// `seq_tracker` is the one record of which packet sequence numbers have
+// arrived.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +27,51 @@
 #include "net/sim_env.h"
 
 namespace ndpsim {
+
+/// What an endpoint counts: one set for every transport.  Each endpoint
+/// counts the events its transport has and leaves the other fields 0;
+/// `flow::stats()` sums both sides of a flow.
+struct transport_counters {
+  /// Data packets, resends included (a TCP SYN is one); the packet builder
+  /// counts them.
+  std::uint64_t packets_sent = 0;
+  std::uint64_t payload_bytes = 0;  ///< distinct application bytes received
+  // Resends by cause.
+  /// After the receiver reported the packet missing: an NDP NACK, or TCP's
+  /// third duplicate ACK or a NewReno partial ACK.
+  std::uint64_t rtx_after_nack = 0;
+  std::uint64_t rtx_after_bounce = 0;   ///< NDP: after a return-to-sender
+  std::uint64_t rtx_after_timeout = 0;  ///< after a retransmission timeout
+  std::uint64_t timeouts = 0;           ///< TCP RTO firings, SYN ones too
+  // Feedback a source received.
+  std::uint64_t acks_received = 0;      ///< NDP
+  std::uint64_t nacks_received = 0;     ///< NDP
+  std::uint64_t pulls_received = 0;     ///< NDP
+  std::uint64_t bounces_received = 0;   ///< NDP return-to-sender headers
+  std::uint64_t ecn_echoes = 0;         ///< TCP ACKs echoing CE; DCQCN CNPs
+  // Receiver side.
+  std::uint64_t duplicate_packets = 0;  ///< NDP: data that arrived twice
+  std::uint64_t nacks_sent = 0;         ///< NDP
+  std::uint64_t cnps_sent = 0;          ///< DCQCN
+
+  transport_counters& operator+=(const transport_counters& o) {
+    packets_sent += o.packets_sent;
+    payload_bytes += o.payload_bytes;
+    rtx_after_nack += o.rtx_after_nack;
+    rtx_after_bounce += o.rtx_after_bounce;
+    rtx_after_timeout += o.rtx_after_timeout;
+    timeouts += o.timeouts;
+    acks_received += o.acks_received;
+    nacks_received += o.nacks_received;
+    pulls_received += o.pulls_received;
+    bounces_received += o.bounces_received;
+    ecn_echoes += o.ecn_echoes;
+    duplicate_packets += o.duplicate_packets;
+    nacks_sent += o.nacks_sent;
+    cnps_sent += o.cnps_sent;
+    return *this;
+  }
+};
 
 class endpoint {
  public:
@@ -40,8 +87,12 @@ class endpoint {
     paths_ = path_set{};
   }
 
-  /// Application bytes this endpoint has received (0 on the sending side).
-  [[nodiscard]] virtual std::uint64_t payload_received() const { return 0; }
+  [[nodiscard]] const transport_counters& stats() const { return counters_; }
+  /// Application bytes this endpoint has received (0 on the sending side;
+  /// an MPTCP connection sums its subflows' sinks).
+  [[nodiscard]] virtual std::uint64_t payload_received() const {
+    return counters_.payload_bytes;
+  }
 
   /// Take the borrowed paths (this side sends on `paths`' forward routes if
   /// it is the source, on its reverse routes if it is the sink) and the two
@@ -80,8 +131,10 @@ class endpoint {
 
   /// The packet builder: a pooled packet of this flow from the local to the
   /// remote host, `size_bytes` on the wire, at the first hop of `rt`.
+  /// Counts it in `packets_sent` if it is a data packet.
   [[nodiscard]] packet& make_packet(packet_type type, std::uint32_t size_bytes,
-                                    const route* rt) const {
+                                    const route* rt) {
+    if (!is_control(type)) ++counters_.packets_sent;
     packet& p = *env_.pool.alloc();
     p.type = type;
     p.flow_id = flow_id_;
@@ -105,6 +158,7 @@ class endpoint {
   std::uint32_t local_host_ = 0;
   std::uint32_t remote_host_ = 0;
   path_set paths_;  ///< borrowed; the path owner outlives the connection
+  transport_counters counters_;
 
  private:
   simtime_t completion_time_ = -1;

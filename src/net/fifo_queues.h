@@ -19,7 +19,6 @@ class drop_tail_queue : public queue_base {
   [[nodiscard]] std::size_t buffered_packets() const override {
     return fifo_.size();
   }
-  [[nodiscard]] std::uint64_t capacity_bytes() const { return capacity_; }
 
  protected:
   void enqueue_arrival(packet& p) override {

@@ -10,8 +10,8 @@
 //
 // A `pfc_ingress` is placed on routes between the arrival pipe and the egress
 // queue.  It forwards packets immediately (fabric is not the bottleneck) but
-// tags them for buffer accounting; every lossless egress queue gets a depart
-// hook that credits the tagged ingress.
+// tags them for buffer accounting; every lossless egress queue credits the
+// tagged ingress as the packet departs (`queue_base::enable_pfc_credit`).
 #pragma once
 
 #include "net/queue.h"
@@ -51,8 +51,8 @@ class pfc_ingress final : public packet_sink, public event_source {
     send_to_next_hop(p);
   }
 
-  /// Called (via egress depart hooks) when a tagged packet leaves its egress
-  /// queue at this switch.
+  /// Called (via `pfc_credit_on_depart`) when a tagged packet leaves its
+  /// egress queue at this switch.
   void on_depart(packet& p) {
     NDPSIM_ASSERT(buffered_ >= p.size_bytes);
     buffered_ -= p.size_bytes;
@@ -72,14 +72,6 @@ class pfc_ingress final : public packet_sink, public event_source {
 
   [[nodiscard]] std::uint64_t buffered_bytes() const { return buffered_; }
   [[nodiscard]] std::uint64_t pauses_sent() const { return pauses_sent_; }
-
-  /// Depart hook suitable for any lossless egress queue.
-  static void credit_on_depart(packet& p) {
-    if (p.ingress != nullptr) {
-      p.ingress->on_depart(p);
-      p.ingress = nullptr;
-    }
-  }
 
  private:
   void signal(bool pause) {

@@ -7,7 +7,8 @@
 //
 // Queues support PFC pausing: while paused, the in-flight packet finishes
 // serializing but no new packet starts (pause at packet boundary, as 802.1Qbb
-// does).
+// does).  A lossless egress queue also credits each departing packet's PFC
+// ingress (`enable_pfc_credit`).
 //
 // Hot-path layout: service completions are monotone per (rate, packet size)
 // — the deadline is always now + serialization_time — so they ride the
@@ -30,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "net/packet.h"
 #include "net/route.h"
@@ -39,6 +39,10 @@
 #include "sim/telemetry.h"
 
 namespace ndpsim {
+
+/// Credit `p`'s PFC ingress, if it has one, for the buffer `p` leaves
+/// (net/lossless.cpp).
+void pfc_credit_on_depart(packet& p);
 
 class queue_base : public packet_sink, public event_source {
   // coexist_queue composes two child queues and drives their (protected)
@@ -82,10 +86,9 @@ class queue_base : public packet_sink, public event_source {
 
   [[nodiscard]] linkspeed_bps rate() const { return rate_; }
 
-  /// Called just before a packet leaves the queue (PFC buffer accounting).
-  void set_depart_hook(std::function<void(packet&)> hook) {
-    on_depart_ = std::move(hook);
-  }
+  /// Lossless wiring: credit every departing packet's PFC ingress just
+  /// before it leaves the queue.
+  void enable_pfc_credit() { pfc_credit_ = true; }
 
   /// Bytes currently buffered (excluding the packet being serialized).
   [[nodiscard]] virtual std::uint64_t buffered_bytes() const = 0;
@@ -177,7 +180,7 @@ class queue_base : public packet_sink, public event_source {
     packet* p = serving_;
     serving_ = nullptr;
     NDPSIM_TELE(++tele_->deq_pkts; tele_->deq_bytes += p->size_bytes);
-    if (on_depart_) on_depart_(*p);
+    if (pfc_credit_) pfc_credit_on_depart(*p);
     send_to_next_hop(*p);
     try_start_service();
   }
@@ -185,12 +188,12 @@ class queue_base : public packet_sink, public event_source {
   linkspeed_bps rate_;
   packet* serving_ = nullptr;
   bool paused_ = false;
+  bool pfc_credit_ = false;
   // Wire size -> service timing, most-recent first (no packet is 4 GiB).
   struct service_entry {
     std::uint32_t size = UINT32_MAX, lane = event_list::kNoLane;
     simtime_t st = 0;
   } svc_[2];
-  std::function<void(packet&)> on_depart_;
 };
 
 }  // namespace ndpsim

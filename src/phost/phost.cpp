@@ -216,7 +216,7 @@ void phost_sink::receive(packet& p) {
     active_ = true;
     pacer_.activate(*this);
   }
-  if (received_.add(p.seqno)) payload_ += p.payload_bytes;
+  if (received_.add(p.seqno)) counters_.payload_bytes += p.payload_bytes;
   if (!complete() && total_packets_ != 0 &&
       received_.arrived() == total_packets_) {
     pacer_.deactivate(*this);

@@ -103,10 +103,6 @@ class phost_sink final : public packet_sink, public endpoint {
   /// then unbind and drop the paths.  Idempotent.
   void disconnect() override;
 
-  [[nodiscard]] std::uint64_t payload_received() const override {
-    return payload_;
-  }
-
   // pacer interface
   [[nodiscard]] bool wants_token() const;
   void issue_token();
@@ -125,7 +121,6 @@ class phost_sink final : public packet_sink, public endpoint {
   std::uint64_t total_packets_ = 0;
   seq_tracker received_;
   std::uint64_t tokens_granted_ = 0;  ///< cumulative credit sent
-  std::uint64_t payload_ = 0;
   simtime_t last_arrival_ = 0;
 };
 

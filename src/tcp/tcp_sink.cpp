@@ -33,7 +33,7 @@ void tcp_sink::receive(packet& p) {
         it = ooo_.erase(it);
       }
       ooo_[merged_s] = merged_e;
-      payload_ += new_bytes;
+      counters_.payload_bytes += new_bytes;
       // Advance the cumulative point.
       auto first = ooo_.begin();
       if (first != ooo_.end() && first->first <= cum_) {

@@ -18,16 +18,12 @@ class tcp_sink final : public packet_sink, public endpoint {
   void receive(packet& p) override;
 
   [[nodiscard]] std::uint64_t cumulative_acked() const { return cum_; }
-  [[nodiscard]] std::uint64_t payload_received() const override {
-    return payload_;
-  }
 
  private:
   void send_ack(bool syn_ack, bool ecn_echo);
 
   std::uint64_t cum_ = 0;  ///< all bytes < cum_ received
   std::map<std::uint64_t, std::uint64_t> ooo_;  ///< start -> end, disjoint
-  std::uint64_t payload_ = 0;
 };
 
 }  // namespace ndpsim

@@ -51,12 +51,12 @@ void tcp_source::do_next_event() {
   // Genuine RTO expiry: the timer is moved on every ACK and cancelled when
   // nothing is outstanding, so a firing always means a timeout.
   NDPSIM_ASSERT(syn_outstanding_ || snd_una_ < snd_nxt_);
-  ++stats_.timeouts;
+  ++counters_.timeouts;
   enter_slow_start_after_timeout();
   if (syn_outstanding_) {
     send_syn();
   } else {
-    ++stats_.rtx_timeout;
+    ++counters_.rtx_after_timeout;
     retransmit_head();
     // Treat everything in flight as suspect: recover holes NewReno-style
     // as cumulative ACKs come back.
@@ -82,7 +82,6 @@ void tcp_source::send_syn() {
                           paths_.forward(0));
   p.set_flag(pkt_flag::syn);
   syn_outstanding_ = true;
-  ++stats_.packets_sent;
   send_to_next_hop(p);
 }
 
@@ -133,8 +132,6 @@ void tcp_source::send_segment(std::uint64_t start, std::uint32_t len,
   it->second.len = len;
   it->second.sent = env_.now();
   it->second.retransmitted = it->second.retransmitted || is_rtx || !inserted;
-
-  ++stats_.packets_sent;
   send_to_next_hop(p);
 }
 
@@ -187,7 +184,7 @@ void tcp_source::handle_ack(const packet& p) {
 
     snd_una_ = ack;
     dup_acks_ = 0;
-    if (echo) ++stats_.ecn_echoes;
+    if (echo) ++counters_.ecn_echoes;
     if (cfg_.ecn) ecn_feedback(newly, echo);
     on_bytes_acked(newly);
 
@@ -198,7 +195,7 @@ void tcp_source::handle_ack(const packet& p) {
       } else {
         // NewReno partial ACK: retransmit the next hole, deflate.
         retransmit_head();
-        ++stats_.rtx_fast;
+        ++counters_.rtx_after_nack;
         cwnd_ = cwnd_ > newly ? cwnd_ - newly : payload_per_packet();
         cwnd_ += payload_per_packet();
       }
@@ -208,7 +205,7 @@ void tcp_source::handle_ack(const packet& p) {
     try_send();
     check_complete();
   } else if (ack == snd_una_ && snd_una_ < snd_nxt_) {
-    if (echo) ++stats_.ecn_echoes;
+    if (echo) ++counters_.ecn_echoes;
     if (cfg_.ecn) ecn_feedback(0, echo);
     ++dup_acks_;
     if (!in_recovery_ && dup_acks_ == 3) {
@@ -217,7 +214,7 @@ void tcp_source::handle_ack(const packet& p) {
       in_recovery_ = true;
       recover_ = snd_nxt_;
       retransmit_head();
-      ++stats_.rtx_fast;
+      ++counters_.rtx_after_nack;
       cwnd_ = ssthresh_ + 3 * payload_per_packet();
     } else if (in_recovery_) {
       cwnd_ += payload_per_packet();  // window inflation

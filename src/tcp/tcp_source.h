@@ -26,14 +26,6 @@ struct tcp_config {
   bool ecn = false;       ///< set ECT on data, react to ECN echoes
 };
 
-struct tcp_stats {
-  std::uint64_t packets_sent = 0;
-  std::uint64_t rtx_fast = 0;
-  std::uint64_t rtx_timeout = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t ecn_echoes = 0;
-};
-
 /// Completes (the endpoint's record) when a finite flow's last byte is
 /// cumulatively acked.
 class tcp_source : public packet_sink, public event_source, public endpoint {
@@ -57,7 +49,6 @@ class tcp_source : public packet_sink, public event_source, public endpoint {
   void receive(packet& p) override;  // ACKs
   void do_next_event() override;     // start + RTO timer
 
-  [[nodiscard]] const tcp_stats& stats() const { return stats_; }
   [[nodiscard]] std::uint64_t cwnd_bytes() const { return cwnd_; }
   [[nodiscard]] std::uint64_t bytes_acked() const { return snd_una_; }
   [[nodiscard]] simtime_t srtt() const { return srtt_; }
@@ -124,8 +115,6 @@ class tcp_source : public packet_sink, public event_source, public endpoint {
   simtime_t last_ecn_cut_ = -1;
 
   bool started_ = false;
-
-  tcp_stats stats_;
 };
 
 }  // namespace ndpsim

@@ -40,9 +40,7 @@ fabric_instance::fabric_instance(sim_env& env,
           tp->arm(l.first_slot + 1, telemetry_kind::pipe,
                   static_cast<std::uint8_t>(l.level), l.rate));
     }
-    if (pfc.enabled) {
-      q->set_depart_hook(&pfc_ingress::credit_on_depart);
-    }
+    if (pfc.enabled) q->enable_pfc_credit();
     if (l.has_ingress) {
       ingresses_.emplace_back(env_, q.get(), l.delay, pfc.xoff_bytes,
                               pfc.xon_bytes);

@@ -26,7 +26,7 @@ void cbr_source::start(path_set paths, packet_sink* rx, std::uint32_t src,
 
 void cbr_source::do_next_event() {
   packet& p = make_packet(packet_type::cbr_data, mss_bytes_, paths_.forward(0));
-  p.seqno = ++seq_;
+  p.seqno = counters_.packets_sent;  // counted by make_packet: 1, 2, ...
   p.payload_bytes = mss_bytes_ - kHeaderBytes;
   send_to_next_hop(p);
   simtime_t period = serialization_time(mss_bytes_, rate_);

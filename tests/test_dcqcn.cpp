@@ -61,7 +61,7 @@ TEST(dcqcn, cnp_cuts_rate_multiplicatively) {
   EXPECT_NEAR(static_cast<double>(c.source.current_rate()),
               static_cast<double>(before) * 0.5,
               static_cast<double>(before) * 0.02);
-  EXPECT_EQ(c.source.stats().cnps_received, 1u);
+  EXPECT_EQ(c.source.stats().ecn_echoes, 1u);
 }
 
 TEST(dcqcn, rate_recovers_after_congestion_clears) {
@@ -109,8 +109,8 @@ TEST(dcqcn, np_rate_limits_cnps) {
   env.events.run_until(from_ms(10));
   // Marking is pervasive with kmin=1, but CNPs are capped at one per 50us
   // per flow: <= 200 per flow in 10ms (plus slack).
-  EXPECT_LE(a.sink.cnps_sent(), 220u);
-  EXPECT_GT(a.sink.cnps_sent(), 10u);
+  EXPECT_LE(a.sink.stats().cnps_sent, 220u);
+  EXPECT_GT(a.sink.stats().cnps_sent, 10u);
 }
 
 TEST(dcqcn, alpha_tracks_congestion_level) {

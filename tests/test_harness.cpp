@@ -50,6 +50,10 @@ TEST(flow_factory_harness, creates_and_tracks_all_protocols) {
     run_until_complete(bed->env, {&f}, from_sec(3));
     EXPECT_TRUE(f.complete()) << "protocol " << to_string(proto);
     EXPECT_EQ(f.payload_received(), o.bytes) << to_string(proto);
+    // One counter set for every transport: the receiver counts the payload
+    // and the builder counts the 30 data packets, resends on top.
+    EXPECT_EQ(f.stats().payload_bytes, o.bytes) << to_string(proto);
+    EXPECT_GE(f.stats().packets_sent, 30u) << to_string(proto);
     EXPECT_GT(f.fct_us(), 0.0) << to_string(proto);
     EXPECT_EQ(bed->flows->completed_count(), 1u);
   }
@@ -76,7 +80,7 @@ TEST(experiments, incast_runner_reports_ndp_stats) {
   auto res =
       run_incast(*bed, protocol::ndp, senders, 0, 30 * 8936, o, from_sec(2));
   EXPECT_EQ(res.completed, 10u);
-  EXPECT_GT(res.packets_sent, 0u);
+  EXPECT_GT(res.stats.packets_sent, 0u);
   EXPECT_GT(res.last_fct_us, 0.0);
   EXPECT_GE(res.last_fct_us, res.first_fct_us);
 }

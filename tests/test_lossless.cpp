@@ -22,7 +22,7 @@ struct pfc_chain {
         wire_down(env, from_us(1)),
         sink(env),
         ingress(env, &nic, from_us(1), xoff, xon) {
-    egress.set_depart_hook(&pfc_ingress::credit_on_depart);
+    egress.enable_pfc_credit();
     rt.push_back(&nic);
     rt.push_back(&wire_up);
     rt.push_back(&ingress);

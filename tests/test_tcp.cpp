@@ -127,7 +127,7 @@ TEST(tcp, fast_retransmit_recovers_single_loss_without_timeout) {
   env.events.run_until(from_ms(150));
   EXPECT_TRUE(src.complete());
   EXPECT_TRUE(middle.dropped);
-  EXPECT_GT(src.stats().rtx_fast, 0u);
+  EXPECT_GT(src.stats().rtx_after_nack, 0u);
   EXPECT_EQ(src.stats().timeouts, 0u);
   // Completion far sooner than any 200ms RTO.
   EXPECT_LT(to_us(src.completion_time()), 100'000.0);

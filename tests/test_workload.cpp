@@ -84,6 +84,10 @@ TEST(cbr_source, sends_at_configured_rate) {
       static_cast<double>(sink.payload_bytes()) * 8 / to_sec(from_ms(10)) / 1e9;
   // 5Gb/s offered minus header overhead.
   EXPECT_NEAR(gb, 5.0 * 8936 / 9000, 0.1);
+  // Nothing drops: once drained, every data packet sent has arrived.
+  cbr.stop();
+  env.events.run_all();
+  EXPECT_EQ(cbr.stats().packets_sent * 8936, sink.payload_bytes());
 }
 
 TEST(closed_loop, keeps_population_and_records_fcts) {
